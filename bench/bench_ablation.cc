@@ -14,7 +14,7 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  const PerformanceHarness perf(*ctx.recommender, /*seed=*/2015);
+  const PerformanceHarness perf(*ctx.engine, /*seed=*/2015);
   const auto groups = perf.RandomGroups(bench::kNumRandomGroups, 6);
 
   // ---- 1. Termination policy -------------------------------------------
@@ -40,7 +40,7 @@ int main() {
 
   // ---- 2. Incremental drift index ---------------------------------------
   {
-    const PeriodicAffinity& pa = ctx.recommender->periodic_affinity();
+    const PeriodicAffinity& pa = *ctx.periodic;
     Stopwatch watch;
     DynamicAffinityIndex incremental(pa.num_users());
     for (PeriodId p = 0; p < pa.num_periods(); ++p) {
@@ -114,7 +114,7 @@ int main() {
       for (const Group& group : groups) {
         QuerySpec spec = PerformanceHarness::DefaultSpec();
         spec.algorithm = algorithm;
-        const Recommendation r = ctx.recommender->Recommend(group, spec).value();
+        const Recommendation r = ctx.engine->Recommend(group, spec).value();
         sas.Add(static_cast<double>(r.raw.accesses.sequential));
         ras.Add(static_cast<double>(r.raw.accesses.random));
         totals.Add(static_cast<double>(r.raw.accesses.total()));

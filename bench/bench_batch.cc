@@ -1,7 +1,7 @@
-// Batch-vs-sequential throughput of the Engine API: the acceptance bench for
-// the batch-first redesign. Runs a 64-query batch (the paper's scalability
-// setup: random groups of 6, k = 10, AP, discrete model) sequentially and
-// through Engine::RecommendBatch at several thread counts, verifying result
+// Batch-vs-sequential throughput of the serving engine. Runs a 64-query
+// batch (the paper's scalability setup: random groups of 6, k = 10, AP,
+// discrete model) sequentially and through ShardedEngine::RecommendBatch at
+// several batch thread counts, verifying result
 // equivalence and reporting queries/second and speedup. Also splits the
 // sequential per-query cost into problem assembly (BuildProblem over the
 // shared PreferenceIndex, zero-copy) and solve time, so the perf trajectory
@@ -16,7 +16,7 @@
 //
 // The planner sweep replays a Zipf-repeated duplicate-heavy batch at
 // duplicate factors 1/4/16 through a planning engine vs the unplanned
-// reference path (EngineOptions::plan_batches), verifying bit-identical
+// reference path (ShardedEngineOptions::plan_batches), verifying bit-identical
 // results and reporting the planned/unplanned qps ratio per factor.
 //
 // Set GRECA_BENCH_SMALL=1 for a smoke-scale run, GRECA_BATCH_QUERIES to
@@ -36,7 +36,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/engine.h"
 #include "bench_common.h"
 #include "common/distributions.h"
 #include "common/rng.h"
@@ -47,7 +46,14 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  const GroupRecommender& recommender = *ctx.recommender;
+  const ShardedEngine& engine = *ctx.engine;
+  // A variant of the context engine over the same datasets.
+  const auto make_engine = [&ctx](const auto& adjust) {
+    ShardedEngineOptions options = ctx.options;
+    adjust(options);
+    return std::make_unique<ShardedEngine>(ctx.universe.dataset, ctx.study,
+                                           options);
+  };
 
   std::size_t num_queries = 64;
   if (const char* env = std::getenv("GRECA_BATCH_QUERIES")) {
@@ -60,31 +66,32 @@ int main() {
     }
   }
 
-  const PerformanceHarness perf(recommender, /*seed=*/2015);
+  const PerformanceHarness perf(engine, /*seed=*/2015);
   const QuerySpec spec = PerformanceHarness::DefaultSpec();
   std::vector<Query> batch;
   for (const Group& group : perf.RandomGroups(num_queries, 6)) {
     batch.push_back(Query{group, spec});
   }
 
-  // Cold assembly pass, before anything touches the snapshot's
+  // Cold assembly pass, before anything touches the engine's
   // (group, period) period-list cache: every query materializes its periodic
   // lists. The warm pass below re-assembles the same batch with the cache
-  // full — the difference is what snapshot-scoped period caching buys
+  // full — the difference is what binding-scoped period caching buys
   // repeated-group workloads.
-  const auto snapshot = recommender.snapshot();
+  const auto set = engine.Pin();
+  const PeriodListCache& period_cache = set->period_cache();
   QueryWorkspace cold_workspace;
   Stopwatch cold_watch;
   for (const Query& q : batch) {
     const auto problem =
-        recommender.BuildProblem(q.group, q.spec, nullptr, &cold_workspace);
+        engine.BuildProblem(set, q.group, q.spec, nullptr, &cold_workspace);
     if (!problem.ok()) {
       std::cerr << "ERROR: cold assembly failed\n";
       return 1;
     }
   }
   const double cold_asm_seconds = cold_watch.ElapsedSeconds();
-  const std::uint64_t cold_misses = snapshot->period_cache_misses();
+  const std::uint64_t cold_misses = period_cache.misses();
 
   // Sequential baseline: one query at a time through the facade, with a
   // single reused workspace (the fairest single-thread configuration).
@@ -94,7 +101,7 @@ int main() {
   sequential.reserve(batch.size());
   for (const Query& q : batch) {
     sequential.push_back(
-        recommender.Recommend(q.group, q.spec, &workspace).value());
+        engine.Recommend(set, q.group, q.spec, &workspace).value());
   }
   const double seq_seconds = seq_watch.ElapsedSeconds();
 
@@ -104,7 +111,7 @@ int main() {
   std::size_t assembled = 0;
   for (const Query& q : batch) {
     const auto problem =
-        recommender.BuildProblem(q.group, q.spec, nullptr, &workspace);
+        engine.BuildProblem(set, q.group, q.spec, nullptr, &workspace);
     if (problem.ok()) ++assembled;
   }
   const double asm_seconds = asm_watch.ElapsedSeconds();
@@ -115,7 +122,7 @@ int main() {
   }
 
   const unsigned hw = std::thread::hardware_concurrency();
-  TablePrinter table("Engine::RecommendBatch vs sequential (" +
+  TablePrinter table("ShardedEngine::RecommendBatch vs sequential (" +
                      std::to_string(batch.size()) + " queries, " +
                      std::to_string(hw) + " hardware threads)");
   table.SetColumns({"configuration", "seconds", "queries/s", "speedup"});
@@ -124,15 +131,14 @@ int main() {
                 TablePrinter::Cell(seq_qps, 1), "1.00"});
 
   for (const std::size_t threads : {2u, 4u, 8u}) {
-    EngineOptions eopts;
-    eopts.num_threads = threads;
-    const Engine engine(recommender, eopts);
-    // Warm-up run so worker workspaces reach steady-state capacity.
-    const std::size_t warmup = std::min<std::size_t>(4, batch.size());
-    engine.RecommendBatch(
-        std::vector<Query>(batch.begin(), batch.begin() + warmup));
+    const auto pooled = make_engine(
+        [threads](ShardedEngineOptions& o) { o.batch_threads = threads; });
+    // Warm-up run so worker workspaces reach steady-state capacity and the
+    // engine's caches hold the batch's groups, as the sequential pass left
+    // the context engine's.
+    pooled->RecommendBatch(batch);
     Stopwatch watch;
-    const auto results = engine.RecommendBatch(batch);
+    const auto results = pooled->RecommendBatch(batch);
     const double seconds = watch.ElapsedSeconds();
 
     std::size_t mismatches = 0;
@@ -168,8 +174,7 @@ int main() {
             << "period_cache: cold assembly " << cold_per_query_us
             << " us/query (" << cold_misses << " lists materialized) vs warm "
             << per_query_us << " us/query ("
-            << (snapshot->period_cache_hits()) << " hits, "
-            << snapshot->period_cache_misses()
+            << period_cache.hits() << " hits, " << period_cache.misses()
             << " misses total) — speedup "
             << (asm_seconds > 0.0 ? cold_asm_seconds / asm_seconds : 0.0)
             << "x\n";
@@ -197,7 +202,7 @@ int main() {
   // of the index row — the workload candidate-pool restriction creates) up
   // to the full row, where the banded index falls back to its flat-order
   // twin and must match the flat baseline.
-  const std::size_t full_pool = recommender.preference_index().pool_size();
+  const std::size_t full_pool = engine.pool().size();
   const std::vector<std::size_t> pools = {full_pool / 16, full_pool / 4,
                                           full_pool / 2, full_pool};
   struct SweepRow {
@@ -209,9 +214,10 @@ int main() {
   std::vector<SweepRow> sweep;
   std::vector<std::vector<Recommendation>> reference(pools.size());
 
-  const auto run_layout = [&](const GroupRecommender& rec,
+  const auto run_layout = [&](const ShardedEngine& rec,
                               const std::string& layout) -> bool {
     QueryWorkspace ws;
+    const auto rec_set = rec.Pin();
     for (std::size_t pi = 0; pi < pools.size(); ++pi) {
       QuerySpec sweep_spec = spec;
       sweep_spec.algorithm = Algorithm::kNaive;
@@ -220,14 +226,15 @@ int main() {
       SweepRow row;
       row.pool = pools[pi];
       row.layout = layout;
-      row.footprint = rec.BuildProblem(batch[0].group, sweep_spec, nullptr, &ws)
+      row.footprint = rec.BuildProblem(rec_set, batch[0].group, sweep_spec,
+                                       nullptr, &ws)
                           .value()
                           .preference_lists()[0]
                           .scan_footprint();
       // One warm-up query, then best-of-3 timed sequential passes (the
       // layouts run back to back, so taking the fastest pass damps
       // frequency/cache noise in the cross-layout ratio).
-      rec.Recommend(batch[0].group, sweep_spec, &ws);
+      rec.Recommend(rec_set, batch[0].group, sweep_spec, &ws);
       std::vector<Recommendation> recs;
       double best_seconds = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
@@ -235,7 +242,8 @@ int main() {
         recs.reserve(batch.size());
         Stopwatch watch;
         for (const Query& q : batch) {
-          recs.push_back(rec.Recommend(q.group, sweep_spec, &ws).value());
+          recs.push_back(
+              rec.Recommend(rec_set, q.group, sweep_spec, &ws).value());
         }
         const double seconds = watch.ElapsedSeconds();
         if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
@@ -264,14 +272,13 @@ int main() {
         "Index-layout sweep, naive exhaustive scans (qps per pool size)");
     sweep_table.SetColumns(
         {"layout", "pool", "queries/s", "entries walked/scan"});
-    if (run_banded && !run_layout(recommender, "banded")) return 1;
+    if (run_banded && !run_layout(engine, "banded")) return 1;
     if (run_flat) {
       // Same datasets, flat rows: the pre-banding baseline.
-      RecommenderOptions flat_options;
-      flat_options.max_candidate_items = full_pool;
-      flat_options.index_layout = IndexLayout::kFlat;
-      const GroupRecommender flat_rec(ctx.universe, ctx.study, flat_options);
-      if (!run_layout(flat_rec, "flat")) return 1;
+      const auto flat_engine = make_engine([](ShardedEngineOptions& o) {
+        o.index_layout = IndexLayout::kFlat;
+      });
+      if (!run_layout(*flat_engine, "flat")) return 1;
     }
     for (const SweepRow& row : sweep) {
       sweep_table.AddRow({row.layout, std::to_string(row.pool),
@@ -325,8 +332,9 @@ int main() {
 
   // Resident-size split of the serving index (satellite of the SoA rewrite):
   // banded SoA rows vs the global-order twin vs the pool/key maps. The twin
-  // component is what RecommenderOptions::build_flat_twin = false reclaims.
-  const auto mem = recommender.preference_index().MemoryBreakdownBytes();
+  // component is what ShardedEngineOptions::build_flat_twin = false
+  // reclaims.
+  const auto mem = set->shard(0).index->MemoryBreakdownBytes();
   std::cout << "index_memory: banded " << mem.banded_bytes << " B, flat twin "
             << mem.flat_twin_bytes << " B, maps " << mem.map_bytes
             << " B, total " << mem.total() << " B\n";
@@ -337,7 +345,7 @@ int main() {
   // assembled and solved once, results fanned back out (plan/
   // batch_planner.h). The sweep replays a Zipf-repeated batch at duplicate
   // factors 1/4/16 through a planning engine and the unplanned reference
-  // engine — same recommender, same thread count, so the ratio isolates
+  // engine — same datasets, same thread count, so the ratio isolates
   // planning — verifying bit-identical results. With duplicate factor d the
   // planned path solves batch/d problems, so planned qps should approach d×
   // unplanned and hold parity at d = 1; GRECA_BATCH_ASSERT_PLANNER=1 (CI)
@@ -354,13 +362,14 @@ int main() {
   };
   std::vector<PlannerRow> planner_sweep;
   {
-    EngineOptions planned_opts;
-    planned_opts.num_threads = 4;
-    const Engine planned_engine(recommender, planned_opts);
-    EngineOptions unplanned_opts;
-    unplanned_opts.num_threads = 4;
-    unplanned_opts.plan_batches = false;
-    const Engine unplanned_engine(recommender, unplanned_opts);
+    const auto planned_owner = make_engine(
+        [](ShardedEngineOptions& o) { o.batch_threads = 4; });
+    const auto unplanned_owner = make_engine([](ShardedEngineOptions& o) {
+      o.batch_threads = 4;
+      o.plan_batches = false;
+    });
+    const ShardedEngine& planned_engine = *planned_owner;
+    const ShardedEngine& unplanned_engine = *unplanned_owner;
 
     Rng rng(4242);
     const ConsensusSpec consensus_mix[] = {
@@ -371,7 +380,7 @@ int main() {
           std::max<std::size_t>(1, num_queries / dup);
       // Distinct base queries over random groups, cycling the consensus
       // function (pairwise included, so the lazy-agreement path runs).
-      const PerformanceHarness dup_perf(recommender, /*seed=*/77 + dup);
+      const PerformanceHarness dup_perf(engine, /*seed=*/77 + dup);
       std::vector<Query> base;
       for (const Group& group : dup_perf.RandomGroups(distinct, 6)) {
         Query q;
@@ -560,12 +569,12 @@ int main() {
     }
 
     const auto last_period =
-        static_cast<PeriodId>(recommender.num_periods() - 1);
+        static_cast<PeriodId>(engine.num_periods() - 1);
     QueryWorkspace ws;
     for (const std::string& id : solver_ids) {
       QuerySpec algo_spec = spec;
       algo_spec.solver_id = id;
-      recommender.Recommend(batch[0].group, algo_spec, &ws);  // warm-up
+      engine.Recommend(batch[0].group, algo_spec, &ws);  // warm-up
       std::vector<Recommendation> recs;
       double best_seconds = 0.0;
       for (int rep = 0; rep < 3; ++rep) {
@@ -573,7 +582,7 @@ int main() {
         recs.reserve(batch.size());
         Stopwatch watch;
         for (const Query& q : batch) {
-          auto result = recommender.Recommend(q.group, algo_spec, &ws);
+          auto result = engine.Recommend(q.group, algo_spec, &ws);
           if (!result.ok()) {
             std::cerr << "ERROR: solver '" << id
                       << "' failed: " << result.status().ToString() << "\n";

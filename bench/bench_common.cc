@@ -25,11 +25,14 @@ BenchContext* BuildContext() {
   FacebookStudyConfig sc;
   ctx->study = GenerateFacebookStudy(sc, ctx->universe);
 
-  RecommenderOptions options;
-  options.max_candidate_items =
+  ctx->options.num_shards = 1;
+  ctx->options.batch_threads = 1;
+  ctx->options.max_candidate_items =
       std::min<std::size_t>(3'900, ctx->universe.dataset.num_items());
-  ctx->recommender = std::make_unique<GroupRecommender>(ctx->universe,
-                                                        ctx->study, options);
+  ctx->engine = std::make_unique<ShardedEngine>(ctx->universe.dataset,
+                                                ctx->study, ctx->options);
+  ctx->periodic = std::make_unique<PeriodicAffinity>(
+      PeriodicAffinity::Compute(ctx->study.likes, ctx->study.periods));
   ctx->oracle = std::make_unique<SatisfactionOracle>(
       ctx->universe.truth, ctx->study.like_truth, ctx->study.universe_user,
       OracleWeights{});

@@ -17,15 +17,15 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  const GroupRecommender& recommender = *ctx.recommender;
-  const auto last = static_cast<PeriodId>(recommender.num_periods() - 1);
+  const ShardedEngine& engine = *ctx.engine;
+  const auto last = static_cast<PeriodId>(engine.num_periods() - 1);
 
   // ---- 1. Pseudo-user vs affinity-aware consensus --------------------------
   {
     const UserKnn knn(ctx.universe.dataset, {});
     const std::vector<ItemId> candidates =
         ctx.universe.dataset.TopPopularItems(3'900);
-    const PerformanceHarness perf(recommender, 606);
+    const PerformanceHarness perf(engine, 606);
     const auto groups = perf.RandomGroups(12, 4);
 
     OnlineStats consensus_wins;
@@ -34,7 +34,7 @@ int main() {
       spec.k = 10;
       spec.algorithm = Algorithm::kNaive;  // exact list for judging
       const std::vector<ItemId> consensus_list =
-          recommender.Recommend(group, spec).value().items;
+          engine.Recommend(group, spec).value().items;
       const auto pseudo = RecommendPseudoUser(
           knn, ctx.study.study_ratings, group, candidates, 10);
       std::vector<ItemId> pseudo_list;
@@ -99,7 +99,7 @@ int main() {
         group.erase(std::unique(group.begin(), group.end()), group.end());
         if (group.size() < 3) continue;
         const Recommendation rec =
-            recommender.Recommend(group, PerformanceHarness::DefaultSpec()).value();
+            engine.Recommend(group, PerformanceHarness::DefaultSpec()).value();
         sa.Add(rec.raw.SequentialAccessPercent());
       }
       return sa;

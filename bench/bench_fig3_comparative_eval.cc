@@ -11,8 +11,9 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  QualityHarness harness(*ctx.recommender, *ctx.oracle,
-                         FormStudyGroups(*ctx.recommender), /*k=*/10);
+  QualityHarness harness(*ctx.engine, *ctx.oracle,
+                         FormStudyGroups(ctx.study, ctx.engine->affinity()),
+                         /*k=*/10);
 
   struct Panel {
     std::string label;

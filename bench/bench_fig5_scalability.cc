@@ -12,7 +12,7 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  const PerformanceHarness perf(*ctx.recommender, /*seed=*/2015);
+  const PerformanceHarness perf(*ctx.engine, /*seed=*/2015);
   const QuerySpec base = PerformanceHarness::DefaultSpec();
 
   {

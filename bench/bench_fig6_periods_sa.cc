@@ -10,13 +10,13 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  const PerformanceHarness perf(*ctx.recommender, /*seed=*/2015);
+  const PerformanceHarness perf(*ctx.engine, /*seed=*/2015);
   const auto groups = perf.RandomGroups(bench::kNumRandomGroups, 6);
 
   TablePrinter table(
       "Figure 6: Average %SA per evaluation period (discrete model)");
   table.SetColumns({"periods used", "avg #SA %", "std err", "saveup %"});
-  for (PeriodId p = 0; p < ctx.recommender->num_periods(); ++p) {
+  for (PeriodId p = 0; p < ctx.engine->num_periods(); ++p) {
     QuerySpec spec = PerformanceHarness::DefaultSpec();
     spec.eval_period = p;
     const auto m = perf.Measure(groups, spec);

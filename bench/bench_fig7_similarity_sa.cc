@@ -34,18 +34,19 @@ const char* KindName(GroupKind kind) {
 
 int main() {
   const auto& ctx = greca::bench::BenchContext::Get();
-  const GroupRecommender& rec = *ctx.recommender;
+  const ShardedEngine& rec = *ctx.engine;
   const std::size_t n = ctx.study.num_participants();
   constexpr std::size_t kGroupSize = 6;
   constexpr std::size_t kTrials = 10;
   constexpr std::size_t kPoolSize = 24;
 
-  const auto similarity = [&rec](UserId a, UserId b) {
-    return rec.RatingSimilarity(a, b);
+  const auto similarity = [&ctx](UserId a, UserId b) {
+    return RatingSimilarity(ctx.study.study_ratings, a, b);
   };
-  const auto affinity = [&rec](UserId a, UserId b) {
-    return rec.ModelAffinity(a, b, std::nullopt,
-                             AffinityModelSpec::Default());
+  const AffinitySource& source = rec.affinity();
+  const auto affinity = [&source](UserId a, UserId b) {
+    return ModelAffinity(source, a, b, std::nullopt,
+                         AffinityModelSpec::Default());
   };
 
   TablePrinter table(

@@ -25,7 +25,7 @@ using bench::BenchContext;
 
 const Group& SampleGroup() {
   static const Group group = [] {
-    const PerformanceHarness perf(*BenchContext::Get().recommender, 99);
+    const PerformanceHarness perf(*BenchContext::Get().engine, 99);
     return perf.RandomGroups(1, 6)[0];
   }();
   return group;
@@ -35,8 +35,9 @@ void BM_GrecaTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
   QuerySpec spec = PerformanceHarness::DefaultSpec();
   spec.k = static_cast<std::size_t>(state.range(0));
+  const ShardedEngine& engine = *ctx.engine;
   const GroupProblem problem =
-      ctx.recommender->BuildProblem(SampleGroup(), spec).value();
+      engine.BuildProblem(engine.Pin(), SampleGroup(), spec).value();
   GrecaConfig config;
   config.k = spec.k;
   double sa_percent = 0.0;
@@ -51,9 +52,11 @@ BENCHMARK(BM_GrecaTopK)->Arg(5)->Arg(10)->Arg(20);
 
 void BM_NaiveTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
+  const ShardedEngine& engine = *ctx.engine;
   const GroupProblem problem =
-      ctx.recommender
-          ->BuildProblem(SampleGroup(), PerformanceHarness::DefaultSpec())
+      engine
+          .BuildProblem(engine.Pin(), SampleGroup(),
+                        PerformanceHarness::DefaultSpec())
           .value();
   for (auto _ : state) {
     const TopKResult result = NaiveTopK(problem, 10);
@@ -64,9 +67,11 @@ BENCHMARK(BM_NaiveTopK);
 
 void BM_TaTopK(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
+  const ShardedEngine& engine = *ctx.engine;
   const GroupProblem problem =
-      ctx.recommender
-          ->BuildProblem(SampleGroup(), PerformanceHarness::DefaultSpec())
+      engine
+          .BuildProblem(engine.Pin(), SampleGroup(),
+                        PerformanceHarness::DefaultSpec())
           .value();
   for (auto _ : state) {
     const TopKResult result = TaTopK(problem, 10);
@@ -83,26 +88,25 @@ void ExhaustPreferenceLists(const GroupProblem& problem,
   }
 }
 
-const GroupRecommender& FlatRecommender() {
+const ShardedEngine& FlatEngine() {
   // Same datasets as the shared context, flat (globally sorted) index rows:
   // the pre-banding baseline for the prefix-scan comparison.
-  static const GroupRecommender* rec = [] {
+  static const ShardedEngine* engine = [] {
     const auto& ctx = BenchContext::Get();
-    RecommenderOptions options;
-    options.max_candidate_items =
-        ctx.recommender->preference_index().pool_size();
+    ShardedEngineOptions options = ctx.options;
     options.index_layout = IndexLayout::kFlat;
-    return new GroupRecommender(ctx.universe, ctx.study, options);
+    return new ShardedEngine(ctx.universe.dataset, ctx.study, options);
   }();
-  return *rec;
+  return *engine;
 }
 
-void PrefixScan(benchmark::State& state, const GroupRecommender& rec) {
+void PrefixScan(benchmark::State& state, const ShardedEngine& rec) {
   // Exhaustive sequential scan of the group's preference views at the given
   // candidate-pool prefix — the access pattern the banded layout exists for.
   QuerySpec spec = PerformanceHarness::DefaultSpec();
   spec.num_candidate_items = static_cast<std::size_t>(state.range(0));
-  const GroupProblem problem = rec.BuildProblem(SampleGroup(), spec).value();
+  const GroupProblem problem =
+      rec.BuildProblem(rec.Pin(), SampleGroup(), spec).value();
   for (auto _ : state) {
     AccessCounter counter;
     ExhaustPreferenceLists(problem, counter);
@@ -115,12 +119,12 @@ void PrefixScan(benchmark::State& state, const GroupRecommender& rec) {
 // Pool args span row/16 .. full row at paper scale; GRECA_BENCH_SMALL runs
 // clamp to the shrunken pool (larger args then all hit the flat fast path).
 void BM_PrefixScanBanded(benchmark::State& state) {
-  PrefixScan(state, *BenchContext::Get().recommender);
+  PrefixScan(state, *BenchContext::Get().engine);
 }
 BENCHMARK(BM_PrefixScanBanded)->Arg(244)->Arg(975)->Arg(1950)->Arg(3900);
 
 void BM_PrefixScanFlat(benchmark::State& state) {
-  PrefixScan(state, FlatRecommender());
+  PrefixScan(state, FlatEngine());
 }
 BENCHMARK(BM_PrefixScanFlat)->Arg(244)->Arg(975)->Arg(1950)->Arg(3900);
 
@@ -129,9 +133,10 @@ void BM_BuildProblem(benchmark::State& state) {
   // problem-owned arena allocation per call.
   const auto& ctx = BenchContext::Get();
   const QuerySpec spec = PerformanceHarness::DefaultSpec();
+  const ShardedEngine& engine = *ctx.engine;
   for (auto _ : state) {
     const GroupProblem problem =
-        ctx.recommender->BuildProblem(SampleGroup(), spec).value();
+        engine.BuildProblem(engine.Pin(), SampleGroup(), spec).value();
     benchmark::DoNotOptimize(&problem);
   }
 }
@@ -143,10 +148,12 @@ void BM_ProblemAssembly(benchmark::State& state) {
   // PreferenceIndex + ListView refactor).
   const auto& ctx = BenchContext::Get();
   const QuerySpec spec = PerformanceHarness::DefaultSpec();
+  const ShardedEngine& engine = *ctx.engine;
+  const auto set = engine.Pin();
   QueryWorkspace workspace;
   for (auto _ : state) {
     const GroupProblem problem =
-        ctx.recommender->BuildProblem(SampleGroup(), spec, nullptr, &workspace)
+        engine.BuildProblem(set, SampleGroup(), spec, nullptr, &workspace)
             .value();
     benchmark::DoNotOptimize(&problem);
   }
@@ -176,7 +183,7 @@ BENCHMARK(BM_PeriodicAffinityCompute);
 
 void BM_DynamicIndexAppendPeriod(benchmark::State& state) {
   const auto& ctx = BenchContext::Get();
-  const PeriodicAffinity& pa = ctx.recommender->periodic_affinity();
+  const PeriodicAffinity& pa = *ctx.periodic;
   for (auto _ : state) {
     state.PauseTiming();
     DynamicAffinityIndex index(pa.num_users());

@@ -1,12 +1,13 @@
 // Online serving under live updates: the acceptance bench for the
-// snapshot-centric (RCU-style) API.
+// engine's RCU-style publish path.
 //
-// Phase 1 (baseline): reader threads hammer Engine::Recommend for a fixed
+// Phase 1 (baseline): reader threads hammer ShardedEngine::Recommend for a
+// fixed
 // wall-clock window with no writer — queries/second plus per-query p50/p99.
 // Phase 2 (live): the same reader load while a writer thread applies a
 // RatingEvent batch every --update-interval, each publish building a new
-// snapshot generation off the serving path. Because readers pin snapshots
-// and the writer publishes with an atomic pointer swap, reads never block on
+// snapshot generation off the serving path. Because readers pin snapshot sets
+// and the writer publishes with a pointer swap, reads never block on
 // writes: throughput under the writer should track the baseline (the gap is
 // CPU time the writer consumes, not lock waits — on a single-core host the
 // writer's rebuild share is the expected gap).
@@ -20,7 +21,7 @@
 // fold of the log back into a fresh base) are flagged and reported
 // separately from the steady-state curve.
 //
-// The bench also replays a query batch pinned to a pre-writer snapshot after
+// The bench also replays a query batch pinned to a pre-writer set after
 // all phases — dozens of generations and at least the curve's compactions
 // later — and fails hard if any result changed: the serving-immutability
 // contract, cheap enough to enforce every run.
@@ -40,7 +41,6 @@
 #include <thread>
 #include <vector>
 
-#include "api/engine.h"
 #include "bench_common.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
@@ -76,7 +76,8 @@ struct PhaseResult {
 };
 
 /// Runs `readers` threads issuing queries round-robin for `seconds`.
-PhaseResult RunReaders(const Engine& engine, std::span<const Query> queries,
+PhaseResult RunReaders(const ShardedEngine& engine,
+                       std::span<const Query> queries,
                        std::size_t readers, double seconds) {
   std::vector<std::vector<double>> latencies(readers);
   std::atomic<bool> stop{false};
@@ -92,7 +93,7 @@ PhaseResult RunReaders(const Engine& engine, std::span<const Query> queries,
         const Query& q = queries[i % queries.size()];
         i += readers;
         Stopwatch watch;
-        const auto result = engine.Recommend(q);
+        const auto result = engine.Recommend(q.group, q.spec);
         lat.push_back(watch.ElapsedSeconds() * 1e6);
         if (!result.ok()) {
           std::cerr << "ERROR: query failed: " << result.status().ToString()
@@ -139,8 +140,22 @@ std::vector<RatingEvent> RandomEvents(Rng& rng, std::size_t count,
 
 int main() {
   const auto& ctx = bench::BenchContext::Get();
-  GroupRecommender& recommender = *ctx.recommender;  // writer entry point
-  const Engine engine(recommender);                  // serving entry point
+  ShardedEngine& engine = *ctx.engine;
+  // Summed over shards: the resident delta log and the latest generation.
+  const auto delta_log_ratings = [&engine] {
+    std::size_t total = 0;
+    for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+      total += engine.shard(s).snapshot()->ratings->delta_ratings();
+    }
+    return total;
+  };
+  const auto generation_of = [](const ShardedSnapshotSet& set) {
+    std::uint64_t generation = 0;
+    for (std::size_t s = 0; s < set.num_shards(); ++s) {
+      generation = std::max(generation, set.shard(s).generation);
+    }
+    return generation;
+  };
 
   const std::size_t hw = std::thread::hardware_concurrency();
   const std::size_t readers = EnvSize(
@@ -152,30 +167,29 @@ int main() {
   const std::size_t events_per_batch = EnvSize("GRECA_ONLINE_EVENTS", 8);
 
   // The paper's scalability mix: random groups of 6, k = 10, AP, discrete
-  // model — 20 distinct groups cycled by the readers, so the snapshot's
+  // model — 20 distinct groups cycled by the readers, so the engine's
   // (group, period) cache sees the repetition a real batch workload has.
-  const PerformanceHarness perf(recommender, /*seed=*/2015);
+  const PerformanceHarness perf(engine, /*seed=*/2015);
   const QuerySpec spec = PerformanceHarness::DefaultSpec();
   std::vector<Query> queries;
   for (const Group& group : perf.RandomGroups(bench::kNumRandomGroups, 6)) {
     queries.push_back(Query{group, spec});
   }
 
-  const auto participants =
-      static_cast<UserId>(recommender.study().num_participants());
+  const auto participants = static_cast<UserId>(engine.num_users());
   const auto num_items =
       static_cast<ItemId>(ctx.universe.dataset.num_items());
 
-  // Pin a pre-writer snapshot and record its answers: replayed at the end to
+  // Pin a pre-writer set and record its answers: replayed at the end to
   // enforce that publishes never mutate a pinned generation.
-  const auto pinned = engine.snapshot();
-  const auto pinned_before = engine.RecommendBatch(queries, pinned);
+  const auto pinned = engine.Pin();
+  const auto pinned_before = engine.RecommendBatch(pinned, queries);
 
   // Warm-up: touch every query once outside the measurement windows so the
   // baseline phase is not charged the process's cold-start (allocator,
   // period-cache fill for generation 1).
   for (const Query& q : queries) {
-    if (!engine.Recommend(q).ok()) std::abort();
+    if (!engine.Recommend(q.group, q.spec).ok()) std::abort();
   }
 
   std::cout << "bench_online: " << readers << " readers, " << seconds
@@ -197,7 +211,7 @@ int main() {
           RandomEvents(rng, events_per_batch, participants, num_items, ts);
       ts += static_cast<Timestamp>(events_per_batch);
       Stopwatch watch;
-      const Status status = recommender.ApplyRatingUpdates(events);
+      const Status status = engine.ApplyUpdates(events);
       publish_ms.push_back(watch.ElapsedMillis());
       if (!status.ok()) {
         std::cerr << "ERROR: update failed: " << status.ToString() << "\n";
@@ -234,17 +248,17 @@ int main() {
       const auto events =
           RandomEvents(rng, curve_events, participants, num_items, ts);
       ts += static_cast<Timestamp>(curve_events);
-      UpdateReport report;
+      ShardedUpdateReport report;
       Stopwatch watch;
-      const Status status = recommender.ApplyRatingUpdates(events, &report);
+      const Status status = engine.ApplyUpdates(events, &report);
       const double ms = watch.ElapsedMillis();
       if (!status.ok()) {
         std::cerr << "ERROR: curve update failed: " << status.ToString()
                   << "\n";
         std::abort();
       }
-      curve.push_back({accumulated, ms, report.compacted});
-      accumulated += report.events_applied;
+      curve.push_back({accumulated, ms, report.total.compacted});
+      accumulated += report.total.events_applied;
     }
   }
 
@@ -292,14 +306,12 @@ int main() {
       curve_compactions > 0
           ? compaction_ms_sum / static_cast<double>(curve_compactions)
           : 0.0;
-  const std::size_t delta_log_final =
-      engine.snapshot()->ratings().delta_ratings();
-
-  const std::uint64_t final_generation = engine.snapshot()->generation();
+  const std::size_t delta_log_final = delta_log_ratings();
+  const std::uint64_t final_generation = generation_of(*engine.Pin());
 
   // Immutability check: the pinned pre-writer generation must replay
   // bit-identically after every publish above.
-  const auto pinned_after = engine.RecommendBatch(queries, pinned);
+  const auto pinned_after = engine.RecommendBatch(pinned, queries);
   std::size_t mismatches = 0;
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (!pinned_after[i].ok() || !pinned_before[i].ok() ||
@@ -318,7 +330,8 @@ int main() {
   const double publish_p50 = Percentile(publish_ms, 0.50);
   const double publish_p99 = Percentile(publish_ms, 0.99);
 
-  TablePrinter table("Engine::Recommend under live updates (generation 1 -> " +
+  TablePrinter table("ShardedEngine::Recommend under live updates "
+                     "(generation 1 -> " +
                      std::to_string(final_generation) + ")");
   table.SetColumns(
       {"phase", "queries", "queries/s", "p50 (us)", "p99 (us)"});
@@ -357,7 +370,7 @@ int main() {
             << " compactions, mean " << compaction_mean_ms << " ms, "
             << delta_log_final << " delta entries resident)\n"
             << "pinned-snapshot replay: identical across "
-            << (final_generation - pinned->generation())
+            << (final_generation - generation_of(*pinned))
             << " publishes\nExpected: ratio >= 0.85 on multi-core hosts "
                "(reads never block; the residual gap is the writer's own "
                "CPU share); publish_curve_p99_ratio <= 1.5 (the delta log "

@@ -9,7 +9,7 @@
 int main() {
   using namespace greca;
   const auto& ctx = bench::BenchContext::Get();
-  const PerformanceHarness perf(*ctx.recommender, /*seed=*/2015);
+  const PerformanceHarness perf(*ctx.engine, /*seed=*/2015);
   const auto groups = perf.RandomGroups(bench::kNumRandomGroups, 6);
 
   TablePrinter table("Section 4.2.4: Time Models — average %SA");

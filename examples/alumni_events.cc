@@ -10,8 +10,10 @@
 #include "common/distributions.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
-#include "core/group_recommender.h"
+#include "dataset/synthetic.h"
+#include "eval/study_groups.h"
 #include "groups/group_formation.h"
+#include "shard/sharded_engine.h"
 
 int main() {
   using namespace greca;
@@ -26,11 +28,12 @@ int main() {
   study_config.likes.drift_rate = 0.5;  // alumni drift apart faster
   const FacebookStudy study = GenerateFacebookStudy(study_config, universe);
 
-  RecommenderOptions options;
+  ShardedEngineOptions options;
   options.max_candidate_items = 900;
-  const GroupRecommender recommender(universe, study, options);
+  const ShardedEngine engine(universe.dataset, study, options);
+  const AffinitySource& affinity = engine.affinity();
 
-  const auto last = static_cast<PeriodId>(recommender.num_periods() - 1);
+  const auto last = static_cast<PeriodId>(engine.num_periods() - 1);
 
   // Find the intern cohort whose affinities drifted the most over the year —
   // the group for which temporal awareness matters most.
@@ -48,11 +51,10 @@ int main() {
     for (std::size_t a = 0; a < candidate.size(); ++a) {
       for (std::size_t b = 0; b < candidate.size(); ++b) {
         if (a == b) continue;
-        delta[a] +=
-            recommender.ModelAffinity(candidate[a], candidate[b], last,
-                                      AffinityModelSpec::Default()) -
-            recommender.ModelAffinity(candidate[a], candidate[b], 0,
-                                      AffinityModelSpec::Default());
+        delta[a] += ModelAffinity(affinity, candidate[a], candidate[b], last,
+                                  AffinityModelSpec::Default()) -
+                    ModelAffinity(affinity, candidate[a], candidate[b], 0,
+                                  AffinityModelSpec::Default());
       }
     }
     double mean_delta = 0.0;
@@ -80,8 +82,8 @@ int main() {
                                      std::to_string(alumni[b])};
         for (PeriodId p = 0; p <= last; ++p) {
           row.push_back(FormatDouble(
-              recommender.ModelAffinity(alumni[a], alumni[b], p,
-                                        AffinityModelSpec::Default()),
+              ModelAffinity(affinity, alumni[a], alumni[b], p,
+                            AffinityModelSpec::Default()),
               3));
         }
         table.AddRow(row);
@@ -96,7 +98,7 @@ int main() {
     spec.k = 5;
     spec.eval_period = period;
     spec.num_candidate_items = 900;
-    return recommender.Recommend(alumni, spec).value();
+    return engine.Recommend(alumni, spec).value();
   };
   const Recommendation at_start = recommend_at(0);
   const Recommendation at_end = recommend_at(last);

@@ -5,8 +5,10 @@
 #include <vector>
 
 #include "common/table_printer.h"
-#include "core/group_recommender.h"
+#include "dataset/synthetic.h"
+#include "eval/study_groups.h"
 #include "groups/group_formation.h"
+#include "shard/sharded_engine.h"
 
 int main() {
   using namespace greca;
@@ -19,9 +21,9 @@ int main() {
   const FacebookStudy study =
       GenerateFacebookStudy(FacebookStudyConfig{}, universe);
 
-  RecommenderOptions options;
+  ShardedEngineOptions options;
   options.max_candidate_items = 1'200;
-  const GroupRecommender recommender(universe, study, options);
+  const ShardedEngine engine(universe.dataset, study, options);
 
   // Form a high-affinity friend group of four — the people most likely to
   // plan a movie night together.
@@ -31,10 +33,12 @@ int main() {
   }
   const GroupFormer former(
       everyone,
-      [&](UserId a, UserId b) { return recommender.RatingSimilarity(a, b); },
       [&](UserId a, UserId b) {
-        return recommender.ModelAffinity(a, b, std::nullopt,
-                                         AffinityModelSpec::Default());
+        return RatingSimilarity(study.study_ratings, a, b);
+      },
+      [&](UserId a, UserId b) {
+        return ModelAffinity(engine.affinity(), a, b, std::nullopt,
+                             AffinityModelSpec::Default());
       });
   const Group group = former.FormHighAffinity(4);
 
@@ -69,7 +73,7 @@ int main() {
     spec.consensus = choice.consensus;
     spec.model = choice.model;
     spec.num_candidate_items = 1'200;
-    const Recommendation rec = recommender.Recommend(group, spec).value();
+    const Recommendation rec = engine.Recommend(group, spec).value();
     std::vector<std::string> row{choice.label};
     for (std::size_t i = 0; i < 5; ++i) {
       row.push_back(i < rec.items.size()

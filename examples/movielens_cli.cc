@@ -12,9 +12,10 @@
 #include <iostream>
 #include <string>
 
-#include "core/group_recommender.h"
-#include "groups/group_formation.h"
 #include "dataset/movielens.h"
+#include "dataset/synthetic.h"
+#include "groups/group_formation.h"
+#include "shard/sharded_engine.h"
 
 int main(int argc, char** argv) {
   using namespace greca;
@@ -86,9 +87,10 @@ int main(int argc, char** argv) {
   const FacebookStudy study =
       GenerateFacebookStudy(study_config, shell);
 
-  RecommenderOptions options;
+  ShardedEngineOptions options;
+  options.num_shards = 1;
   options.max_candidate_items = std::min<std::size_t>(3'900, stats.num_items);
-  const GroupRecommender recommender(data.ratings, study, options);
+  const ShardedEngine engine(data.ratings, study, options);
 
   Group group;
   for (int a = 3; a < argc; ++a) {
@@ -105,7 +107,7 @@ int main(int argc, char** argv) {
   QuerySpec spec;
   spec.k = 10;
   spec.num_candidate_items = options.max_candidate_items;
-  const Result<Recommendation> result = recommender.Recommend(group, spec);
+  const Result<Recommendation> result = engine.Recommend(group, spec);
   if (!result.ok()) {
     std::cerr << "query failed: " << result.status().ToString() << '\n';
     return 1;

@@ -1,17 +1,18 @@
-// Quickstart: the smallest end-to-end use of the GRECA library through the
-// batch-first Engine API.
+// Quickstart: the smallest end-to-end use of the GRECA library through its
+// serving engine.
 //
 // 1. Generate a MovieLens-like rating universe (or parse a real one).
 // 2. Generate the social substrate: a 72-user study with friendships and a
 //    year of page-like history.
-// 3. Build an Engine, construct a validated query with QueryBuilder, and ask
-//    for the top-5 movies for an ad-hoc group of three users under the
-//    default temporal-affinity model.
+// 3. Build a ShardedEngine, construct a validated query with QueryBuilder,
+//    and ask for the top-5 movies for an ad-hoc group of three users under
+//    the default temporal-affinity model.
 // 4. Run a small batch to show the parallel entry point.
 #include <iostream>
 
-#include "api/engine.h"
 #include "api/query_builder.h"
+#include "dataset/synthetic.h"
+#include "shard/sharded_engine.h"
 
 int main() {
   using namespace greca;
@@ -27,9 +28,9 @@ int main() {
   const FacebookStudy study =
       GenerateFacebookStudy(FacebookStudyConfig{}, universe);
 
-  RecommenderOptions options;
+  ShardedEngineOptions options;
   options.max_candidate_items = 1'000;
-  const Engine engine(universe, study, options);
+  const ShardedEngine engine(universe.dataset, study, options);
 
   // An ad-hoc group of three study participants. Build() validates the query
   // up front — bad k, empty groups, unknown users and out-of-range periods
@@ -47,7 +48,8 @@ int main() {
     return 1;
   }
 
-  const Recommendation rec = engine.Recommend(query.value()).value();
+  const Recommendation rec =
+      engine.Recommend(query.value().group, query.value().spec).value();
 
   std::cout << "Top-5 movies for group {4, 17, 29} "
             << "(discrete temporal affinity, AP consensus):\n";
@@ -60,15 +62,15 @@ int main() {
             << rec.raw.SequentialAccessPercent() << "% — a "
             << rec.raw.SaveupPercent() << "% saveup vs a full scan).\n";
 
-  // Batches execute in parallel over the engine's thread pool, one result
-  // per query in input order.
+  // Batches execute in parallel over the engine's batch pool, one result per
+  // query in input order.
   std::vector<Query> batch;
   for (UserId u = 0; u + 2 < 12; u += 3) {
     batch.push_back(Query{{u, u + 1, u + 2}, query.value().spec});
   }
   const auto results = engine.RecommendBatch(batch);
-  std::cout << "\nBatch of " << batch.size() << " group queries on "
-            << engine.num_threads() << " threads:\n";
+  std::cout << "\nBatch of " << batch.size() << " group queries over "
+            << engine.num_shards() << " shards:\n";
   for (std::size_t i = 0; i < results.size(); ++i) {
     std::cout << "  group {" << batch[i].group[0] << ", " << batch[i].group[1]
               << ", " << batch[i].group[2] << "} -> top movie #"

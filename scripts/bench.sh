@@ -11,8 +11,9 @@
 #                       candidate-pool size + entries walked per scan) when
 #                       BENCH_micro.json is taken by google-benchmark.
 #   BENCH_fig5.txt    — GRECA %SA scalability sweep (paper Figure 5)
-#   BENCH_batch.txt   — Engine::RecommendBatch vs sequential throughput plus
-#                       the problem_assembly_seconds / solve_seconds split,
+#   BENCH_batch.txt   — ShardedEngine::RecommendBatch vs sequential
+#                       throughput plus the problem_assembly_seconds /
+#                       solve_seconds split,
 #                       the period-cache cold/warm assembly comparison and
 #                       the index-layout sweep table
 #   BENCH_online.txt  — query p50/p99 with and without a concurrent writer

@@ -1,5 +1,6 @@
-// Pluggable affinity backend — the one contract through which the core
-// (GroupRecommender::BuildProblem, ModelAffinity) consumes affinities.
+// Pluggable affinity backend — the one contract through which problem
+// assembly (core/problem_assembly.h) and the evaluation helpers
+// (eval/study_groups.h) consume affinities.
 //
 // The paper's deployment computes static affinity from common Facebook
 // friends and periodic affinity from common page-like categories (§2.1,
@@ -14,12 +15,12 @@
 //    group- and population-level normalizations both derive from these;
 //  * all values are monotone inputs to the temporal combiner, which is what
 //    keeps the consensus bounds sound (Lemma 1);
-//  * implementations are immutable once bound to a Snapshot and safe for
+//  * implementations are immutable once bound to an engine and safe for
 //    concurrent const reads: MaterializePeriodListInto is the fill hook of
-//    the snapshot-scoped (group, period) list cache (api/snapshot.h), which
+//    the binding-scoped (group, period) list cache (api/snapshot.h), which
 //    may invoke it from any batch worker. To change an affinity model at
-//    runtime, publish a NEW source via Engine::UpdateAffinitySource — never
-//    mutate one in place.
+//    runtime, bind a NEW source via ShardedEngine::UpdateAffinitySource —
+//    never mutate one in place.
 #ifndef GRECA_AFFINITY_AFFINITY_SOURCE_H_
 #define GRECA_AFFINITY_AFFINITY_SOURCE_H_
 

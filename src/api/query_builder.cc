@@ -81,7 +81,7 @@ Result<Query> QueryBuilder::Build() const {
       }
     }
   }
-  if (Status s = recommender_->ValidateQuery(query.group, query.spec);
+  if (Status s = engine_->ValidateQuery(query.group, query.spec);
       !s.ok()) {
     return s;
   }

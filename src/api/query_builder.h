@@ -1,15 +1,14 @@
 // Fluent construction of validated queries.
 //
 // QueryBuilder front-loads validation: Build() checks the group, k, the
-// candidate pool and the evaluation period against the engine's datasets and
-// returns either a ready-to-run Query or the first greca::Status error —
-// before any per-query work happens. A query that Build() returned OK
-// cannot fail validation against the snapshot generation Build() validated
-// on. Execution pins its own (possibly newer) snapshot, so an intervening
-// UpdateAffinitySource to a source covering fewer periods can still fail a
-// time-aware query at Recommend time — callers serving across live affinity
-// swaps should pin engine.snapshot() and pass it to the snapshot-explicit
-// overloads alongside the built query.
+// candidate pool and the evaluation period against the engine and returns
+// either a ready-to-run Query or the first greca::Status error — before any
+// per-query work happens. Build() validates against the engine's current
+// affinity binding; execution pins its own (possibly newer) set, so an
+// intervening UpdateAffinitySource to a source covering fewer periods can
+// still fail a time-aware query at Recommend time — callers serving across
+// live affinity swaps should pin engine.Pin() and pass the set to the
+// set-explicit overloads alongside the built query.
 //
 // Duplicate members: a repeated UserId in a group would double-weight that
 // member in every consensus function (their preference list would be counted
@@ -33,18 +32,15 @@
 #include <string>
 #include <vector>
 
-#include "api/engine.h"
+#include "shard/sharded_engine.h"
 
 namespace greca {
 
 class QueryBuilder {
  public:
-  explicit QueryBuilder(const Engine& engine)
-      : QueryBuilder(engine.recommender()) {}
-  explicit QueryBuilder(const GroupRecommender& recommender)
-      : recommender_(&recommender) {}
+  explicit QueryBuilder(const ShardedEngine& engine) : engine_(&engine) {}
 
-  /// Replaces the group (study participant ids). Repeats are allowed here;
+  /// Replaces the group (population user ids). Repeats are allowed here;
   /// Build() dedupes to first occurrences (see file comment).
   QueryBuilder& Members(std::vector<UserId> members);
   /// Appends one member (repeats allowed; deduped at Build()).
@@ -69,12 +65,12 @@ class QueryBuilder {
   QueryBuilder& CandidatePool(std::size_t num_items);
 
   /// Dedupes the group (first occurrence wins, order preserved), validates
-  /// against the engine's datasets and returns the query or the first
-  /// validation error.
+  /// against the engine and returns the query or the first validation
+  /// error.
   Result<Query> Build() const;
 
  private:
-  const GroupRecommender* recommender_;
+  const ShardedEngine* engine_;
   Query query_;
 };
 

@@ -1,6 +1,5 @@
 #include "api/snapshot.h"
 
-#include <cassert>
 #include <utility>
 
 namespace greca {
@@ -28,29 +27,6 @@ std::size_t PeriodListCache::MemoryBytes() const {
            list.size() * (sizeof(ListKey) + sizeof(Score)) +
            list.key_space() * sizeof(std::uint32_t);
   });
-}
-
-Snapshot::Snapshot(
-    std::uint64_t generation,
-    std::shared_ptr<const RatingsOverlay> ratings,
-    std::shared_ptr<const std::vector<std::vector<Score>>> predictions,
-    std::shared_ptr<const PreferenceIndex> index,
-    std::shared_ptr<const AffinitySource> affinity,
-    std::shared_ptr<PeriodListCache> cache,
-    std::size_t tombstone_cache_max_entries)
-    : generation_(generation),
-      ratings_(std::move(ratings)),
-      predictions_(std::move(predictions)),
-      index_(std::move(index)),
-      affinity_(std::move(affinity)),
-      cache_(cache != nullptr ? std::move(cache)
-                              : std::make_shared<PeriodListCache>()),
-      tombstone_cache_(
-          std::make_shared<TombstoneCache>(tombstone_cache_max_entries)) {
-  assert(ratings_ != nullptr);
-  assert(predictions_ != nullptr);
-  assert(index_ != nullptr);
-  assert(affinity_ != nullptr);
 }
 
 }  // namespace greca

@@ -1,19 +1,18 @@
-// The mutation surface of the snapshot-centric serving API.
+// The mutation surface of the serving engine.
 //
 // The paper's GRECA assumes a frozen ratings matrix and a frozen affinity
 // study; a serving system does not get that luxury — members keep rating
 // items while queries are in flight. Updates enter the engine as batches of
-// RatingEvents through Engine::ApplyUpdates (or
-// GroupRecommender::ApplyRatingUpdates); the writer folds the batch into the
-// per-user delta log (dataset/ratings_overlay.h — O(delta), never a full
-// re-fold), rebuilds the affected per-user CF predictions and index rows OFF
-// the serving path and publishes the result as a brand-new immutable
-// Snapshot (snapshot.h). Queries that pinned the previous snapshot keep it
-// until they finish — reads never block on writes, writes never corrupt
-// reads. Batches that arrive while a publish is in flight coalesce into ONE
-// next generation (group commit): every caller still blocks until its events
-// are live, but under write pressure the expensive rebuild is paid once per
-// coalesced round, not once per caller.
+// RatingEvents through ShardedEngine::ApplyUpdates; each owning shard folds
+// its part into its per-user delta log (dataset/ratings_overlay.h —
+// O(delta), never a full re-fold), rebuilds the affected users' index rows
+// OFF the serving path and publishes the result as a brand-new immutable
+// ShardSnapshot (shard/shard.h). Queries that pinned the previous generation
+// keep it until they finish — reads never block on writes, writes never
+// corrupt reads. Batches that arrive at a shard while it publishes coalesce
+// into ONE next generation (group commit): every caller still blocks until
+// its events are live, but under write pressure the expensive rebuild is
+// paid once per coalesced round, not once per caller.
 #ifndef GRECA_API_UPDATE_H_
 #define GRECA_API_UPDATE_H_
 
@@ -23,13 +22,14 @@
 
 namespace greca {
 
-/// One live rating by a study participant on a universe item. Matches the
+/// One live rating by a population user on a universe item. Matches the
 /// dataset semantics of RatingsDataset::FromRecords: a (user, item) pair
 /// keeps its latest-(timestamp, rating) rating, so an event no newer than
 /// the stored rating of the same pair — exact redelivered duplicates
 /// included — is ignored (and counted as stale).
 struct RatingEvent {
-  /// Study participant id (NOT a universe user id).
+  /// Population user id (a study participant id on study-backed engines,
+  /// NOT a universe user id).
   UserId user = kInvalidUser;
   /// Universe item id.
   ItemId item = kInvalidItem;
@@ -40,14 +40,15 @@ struct RatingEvent {
   friend bool operator==(const RatingEvent&, const RatingEvent&) = default;
 };
 
-/// What one ApplyUpdates call did — filled for observability and benches.
+/// What one shard publish did for one ApplyUpdates call — filled for
+/// observability and benches (ShardedUpdateReport sums them over shards).
 struct UpdateReport {
   /// Generation id of the snapshot that carries this call's events. When the
   /// call published nothing (empty batch, or every event stale), this is the
   /// CURRENT generation at return — never 0 after a successful call, so it
   /// is always distinguishable from "never published".
   std::uint64_t published_generation = 0;
-  /// Distinct study users whose CF predictions + index rows were rebuilt by
+  /// Distinct users whose predictions + index rows were rebuilt by
   /// the publish that carried this call's events. Under group commit this is
   /// the coalesced round's union, shared by every coalesced caller.
   std::size_t users_rebuilt = 0;
@@ -63,7 +64,7 @@ struct UpdateReport {
   /// means group commit coalesced concurrent callers into one generation).
   std::size_t batches_coalesced = 0;
   /// True when this publish folded the delta log back into a fresh immutable
-  /// base (see RecommenderOptions::compact_every_n_publishes /
+  /// base (see ShardedEngineOptions::compact_every_n_publishes /
   /// compact_delta_fraction).
   bool compacted = false;
   /// Delta-log entries resident after this call (0 right after compaction).

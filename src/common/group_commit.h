@@ -1,9 +1,7 @@
 // Reusable group-commit queue for coalescing concurrent writers.
 //
-// Extracted from GroupRecommender::ApplyRatingUpdates so every publisher in
-// the system — the single-index recommender and each Shard of the sharded
-// engine — shares one battle-tested implementation of the leader/follower
-// protocol:
+// Each Shard (shard/shard.h) publishes through one of these queues, which
+// implements the leader/follower protocol:
 //
 //  * every caller enqueues its batch and the first caller to find no active
 //    leader becomes one;

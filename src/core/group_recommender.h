@@ -1,70 +1,37 @@
-// High-level facade: builds group top-k problems from the datasets and runs
-// the recommendation algorithms. Downstream applications normally reach it
-// through the batch-first `Engine` in src/api/ (see examples/quickstart.cc);
-// this layer stays usable directly for tests and benches.
+// The group query vocabulary shared by the serving engine, the batch
+// planner, the solvers and the evaluation harnesses: QuerySpec (k, temporal
+// affinity model, consensus function, evaluation period, solver,
+// member weighting, candidate pool), Query (an ad-hoc group plus its spec),
+// Recommendation (the ranked items with their access statistics) and the
+// per-worker QueryWorkspace.
 //
-// Pipeline per query (ad-hoc group G, evaluation period p):
+// What one query computes (ad-hoc group G, evaluation period p):
 //  1. candidate items = the top-C prefix of the popular-item pool, with
 //     items any member already rated tombstoned (the problem definition
 //     excludes individually known items, §2.4);
-//  2. absolute preferences apref(u, ·) from user-based CF, precomputed per
-//     study participant and held pre-sorted over the pool in one shared
-//     PreferenceIndex — per query each member's list is a ListView slice of
-//     the index (no sort, no copy);
+//  2. absolute preferences apref(u, ·) from user-based CF, held pre-sorted
+//     over the pool in PreferenceIndex rows — per query each member's list
+//     is a ListView slice of its row (no sort, no copy);
 //  3. static affinities from common friends, normalized within the group;
 //  4. periodic affinities from common page-like categories per period,
-//     served from the snapshot's (group, period) list cache;
+//     served from a (group, period) list cache;
 //  5. the chosen temporal model + consensus function form a GroupProblem
-//     solved by GRECA / TA / the naive scan.
+//     solved by the registered solver (GRECA, TA, the naive scan, ...).
 //
-// Serving state lives in an immutable Snapshot (src/api/snapshot.h): the
-// preference index, the CF predictions, the study ratings (immutable base +
-// per-user delta log, dataset/ratings_overlay.h) and the bound
-// AffinitySource, all under one generation id. Every query pins the current
-// snapshot at entry and reads nothing else, so the live-update path —
-// ApplyRatingUpdates / UpdateAffinitySource — can rebuild the affected state
-// off the serving path and publish a new generation with an atomic pointer
-// swap (RCU-style) without ever blocking or corrupting in-flight queries.
-//
-// Update cost is O(delta), not O(dataset): a batch folds into the delta log
-// (touched users' rows only), and a compaction policy (RecommenderOptions)
-// periodically folds the log back into a fresh immutable base so the overlay
-// stays compact. Concurrent ApplyRatingUpdates callers group-commit: batches
-// arriving while a publish is in flight coalesce into one next generation,
-// each caller blocking only until the coalesced publish lands.
-//
-// Error handling: invalid queries (empty group, k = 0, unknown member,
-// out-of-range period, oversized group) are reported through
-// `greca::Status` — Recommend/BuildProblem return Result<> and never assert
-// on bad query input.
+// ShardedEngine (shard/sharded_engine.h) serves these queries; invalid ones
+// (empty group, k = 0, unknown member, out-of-range period, oversized group)
+// come back as a greca::Status, never as an assert.
 #ifndef GRECA_CORE_GROUP_RECOMMENDER_H_
 #define GRECA_CORE_GROUP_RECOMMENDER_H_
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "affinity/affinity_source.h"
-#include "affinity/dynamic_affinity.h"
-#include "affinity/periodic_affinity.h"
-#include "affinity/static_affinity.h"
 #include "affinity/temporal_model.h"
-#include "api/snapshot.h"
-#include "api/update.h"
-#include "cf/user_knn.h"
-#include "common/group_commit.h"
-#include "common/status.h"
-#include "common/thread_pool.h"
+#include "common/types.h"
 #include "consensus/consensus.h"
 #include "core/greca.h"
-#include "dataset/facebook_study.h"
-#include "dataset/ratings_overlay.h"
-#include "dataset/synthetic.h"
-#include "index/preference_index.h"
 #include "topk/problem.h"
 #include "topk/result.h"
 
@@ -91,7 +58,7 @@ enum class MemberWeighting {
   kInfluence,
 };
 
-/// Row layout of the shared PreferenceIndex (identical recommendations and
+/// Row layout of the PreferenceIndex rows (identical recommendations and
 /// access counts either way — the layouts differ only in how many raw
 /// entries a prefix-restricted sequential scan walks).
 enum class IndexLayout {
@@ -106,69 +73,13 @@ enum class IndexLayout {
   kFlat,
 };
 
-struct RecommenderOptions {
-  UserKnnConfig knn;
-  /// Candidate pool = the top-N most popular universe items (the paper's
-  /// scalability experiments sweep 900..3900 items).
-  std::size_t max_candidate_items = 3'900;
-  /// Drop items any group member has already rated (paper §2.4).
-  bool exclude_group_rated = true;
-
-  /// How index rows are stored (see IndexLayout).
-  IndexLayout index_layout = IndexLayout::kBanded;
-  /// Smallest popularity band of the banded layout (the first breakpoint;
-  /// bands double from here up to the pool size). Pool prefixes of at least
-  /// half this size keep exhaustive scans within 2× the prefix.
-  std::size_t min_band_size = 64;
-  /// Whether banded rows also keep a global-order twin — the wide-prefix
-  /// fast path (served when a prefix covers more than half the row). False
-  /// halves index row storage; wide prefixes then pay the banded merge.
-  /// Results are bit-identical either way. Ignored on kFlat (no twin
-  /// exists). See PreferenceIndex::MemoryBreakdownBytes for the split.
-  bool build_flat_twin = true;
-
-  // --- Delta-log compaction policy (live updates) ---
-  // Live ratings accumulate in a per-user delta log (keeping publishes
-  // O(delta)); compaction folds the log back into a fresh immutable base —
-  // an O(dataset) step paid rarely instead of on every publish. Both
-  // triggers are checked before each rating publish; either suffices.
-  // Compaction changes no observable state (recommendations, reports and
-  // the period-list cache behave identically — tests/delta_log_test.cc).
-
-  /// Compact after this many rating publishes since the last compaction
-  /// (0 = never by count).
-  std::size_t compact_every_n_publishes = 0;
-  /// Compact when the delta log exceeds this fraction of the base's rating
-  /// count (0 = never by size). The default bounds the overlay — and the
-  /// per-query merge overhead — to a quarter of the base.
-  double compact_delta_fraction = 0.25;
-
-  // --- Update-path parallelism ---
-
-  /// Worker threads for the touched-row rebuild inside ApplyRatingUpdates
-  /// (per-row CF predict + index re-sort fan out over an internal pool;
-  /// rows are independent, so results are bit-identical to the serial
-  /// path — tests/delta_log_test.cc asserts it). 0 = serial fallback (the
-  /// default: rebuild rounds are usually a handful of rows).
-  std::size_t update_threads = 0;
-
-  /// Residency cap of the snapshot-scoped (group, period) list cache; least
-  /// recently used lists are evicted past it (0 = unbounded). See
-  /// PeriodListCache.
-  std::size_t period_cache_max_entries = PeriodListCache::kDefaultMaxEntries;
-
-  /// Residency cap of the generation-scoped (group, pool) tombstone-bitmap
-  /// cache (0 = unbounded). See TombstoneCache.
-  std::size_t tombstone_cache_max_entries = TombstoneCache::kDefaultMaxEntries;
-};
-
 struct QuerySpec {
   std::size_t k = 10;
   AffinityModelSpec model;
   ConsensusSpec consensus;
   /// Evaluation period index into the study timeline; recommendations use
   /// periods 0..eval_period inclusive. `std::nullopt` means "the last study
-  /// period"; explicit indices must be in range — ResolvePeriod rejects
+  /// period"; explicit indices must be in range — ResolveEvalPeriod rejects
   /// out-of-range values with kOutOfRange instead of clamping.
   std::optional<PeriodId> eval_period;
   Algorithm algorithm = Algorithm::kGreca;
@@ -181,7 +92,7 @@ struct QuerySpec {
   /// the historical bit-identical scoring path.
   MemberWeighting weighting = MemberWeighting::kUniform;
   TerminationPolicy termination = TerminationPolicy::kBufferCondition;
-  /// Candidate pool size for this query (<= RecommenderOptions limit).
+  /// Candidate pool size for this query (at most the engine's pool).
   std::size_t num_candidate_items = 3'900;
 
   /// Field-wise equality. Note the batch planner (plan/batch_planner.h)
@@ -192,8 +103,8 @@ struct QuerySpec {
 };
 
 /// One group recommendation request: an ad-hoc group of study participants
-/// plus the full query configuration. The unit of Engine::RecommendBatch and
-/// of the batch planner's bucketing.
+/// plus the full query configuration. The unit of
+/// ShardedEngine::RecommendBatch and of the batch planner's bucketing.
 struct Query {
   std::vector<UserId> group;
   QuerySpec spec;
@@ -219,239 +130,6 @@ struct Recommendation {
 struct QueryWorkspace {
   ProblemArena arena;
   GrecaWorkspace greca;
-};
-
-class GroupRecommender {
- public:
-  /// Both references must outlive this object (and every snapshot pinned
-  /// from it). Construction precomputes CF predictions for every study
-  /// participant and all affinity tables, and publishes generation 1.
-  /// `universe` may be any collaborative rating dataset — the synthetic twin
-  /// or a parsed real MovieLens file.
-  GroupRecommender(const RatingsDataset& universe, const FacebookStudy& study,
-                   RecommenderOptions options);
-
-  /// Convenience overload for the synthetic universe.
-  GroupRecommender(const SyntheticRatings& universe,
-                   const FacebookStudy& study, RecommenderOptions options)
-      : GroupRecommender(universe.dataset, study, options) {}
-
-  GroupRecommender(const GroupRecommender&) = delete;
-  GroupRecommender& operator=(const GroupRecommender&) = delete;
-
-  // --- Snapshot lifecycle (the RCU-style serving contract) ---
-
-  /// The currently published serving state. Queries made through the
-  /// parameterless Recommend/BuildProblem pin it implicitly; callers that
-  /// need cross-call stability (a batch, a paginated session) pin it once
-  /// and pass it to the snapshot-explicit overloads. Never null.
-  ///
-  /// Pinning is a constant-time pointer copy under a light mutex — the
-  /// publication point. Rebuild work always happens outside it, so readers
-  /// never wait on a refresh (std::atomic<shared_ptr> would express the
-  /// same contract, but libstdc++'s embedded-spinlock implementation is
-  /// opaque to ThreadSanitizer, and the TSan CI job is part of this
-  /// contract's regression suite).
-  std::shared_ptr<const Snapshot> snapshot() const {
-    std::lock_guard<std::mutex> lock(snapshot_mu_);
-    return snapshot_;
-  }
-
-  /// Applies a batch of live ratings: validates every event (known study
-  /// participant, known universe item), folds them into the per-user delta
-  /// log (latest (timestamp, rating) wins per (user, item), matching
-  /// RatingsDataset::FromRecords — stale events are counted, not applied),
-  /// recomputes the affected users' CF predictions and index rows, and
-  /// publishes the result as a new snapshot generation. The fold is
-  /// O(delta): the base ratings are never re-folded on the publish path;
-  /// the compaction policy in RecommenderOptions periodically folds the log
-  /// back into a fresh base. In-flight queries keep their pinned snapshot;
-  /// no event is applied when any event is invalid; a batch that changes
-  /// nothing (empty, or all events stale) publishes nothing, so every
-  /// generation increment still means a real state change.
-  ///
-  /// Concurrent callers group-commit: batches arriving while a publish is
-  /// in flight coalesce into the next generation (one rebuild for the whole
-  /// round) and every caller returns once its events are live. Readers are
-  /// never blocked. `report`, when non-null, receives what was rebuilt —
-  /// per-batch applied/stale counts, the round's coalesced batch count and
-  /// the published generation.
-  Status ApplyRatingUpdates(std::span<const RatingEvent> events,
-                            UpdateReport* report = nullptr);
-
-  /// Swaps the affinity backend by publishing a new snapshot generation
-  /// bound to `source` — same non-blocking contract as ApplyRatingUpdates,
-  /// so the swap is safe with respect to in-flight queries. The source must
-  /// cover the study's participants and periods and be internally
-  /// thread-safe for concurrent const reads.
-  Status UpdateAffinitySource(std::shared_ptr<const AffinitySource> source);
-
-  /// Deprecated spelling of UpdateAffinitySource (kept for callers of the
-  /// pre-snapshot API; now race-free). Asserts on null sources.
-  void set_affinity_source(std::shared_ptr<const AffinitySource> source);
-
-  // --- Queries ---
-
-  /// Recommends spec.k items to `group` (study participant ids) against the
-  /// currently published snapshot. Returns a non-OK status for invalid
-  /// queries (see ValidateQuery). `workspace`, when non-null, provides
-  /// reusable buffers for batch execution.
-  Result<Recommendation> Recommend(std::span<const UserId> group,
-                                   const QuerySpec& spec,
-                                   QueryWorkspace* workspace = nullptr) const;
-
-  /// Snapshot-explicit variant: runs entirely against `snap`, regardless of
-  /// how many generations publish meanwhile — results are bit-identical for
-  /// the same (snap, group, spec).
-  Result<Recommendation> Recommend(const std::shared_ptr<const Snapshot>& snap,
-                                   std::span<const UserId> group,
-                                   const QuerySpec& spec,
-                                   QueryWorkspace* workspace = nullptr) const;
-
-  /// Builds the underlying top-k problem (exposed for tests and benches)
-  /// against the currently published snapshot.
-  /// Zero-copy hot path: member preference lists are ListView slices of the
-  /// snapshot's PreferenceIndex (pool-prefix keys, group-rated items
-  /// tombstoned) — no per-query sort or copy; periodic affinity lists come
-  /// from the snapshot's (group, period) cache, and only the small static /
-  /// agreement lists are materialized into the workspace's arena.
-  ///
-  /// `candidates_out`, when non-null, receives the candidate-pool items in
-  /// key order (problem key k ↔ candidates_out[k]; tombstoned keys never
-  /// appear in results). When `workspace` is non-null the problem's views
-  /// point into its arena — the workspace must outlive the problem and not
-  /// be reused before the problem is dropped; when null the problem owns its
-  /// arena. Either way the problem shares ownership of the snapshot it was
-  /// built from, so index rows and cached period lists outlive any
-  /// subsequent publish.
-  Result<GroupProblem> BuildProblem(
-      std::span<const UserId> group, const QuerySpec& spec,
-      std::vector<ItemId>* candidates_out = nullptr,
-      QueryWorkspace* workspace = nullptr) const;
-
-  /// Snapshot-explicit variant of BuildProblem.
-  Result<GroupProblem> BuildProblem(
-      const std::shared_ptr<const Snapshot>& snap,
-      std::span<const UserId> group, const QuerySpec& spec,
-      std::vector<ItemId>* candidates_out = nullptr,
-      QueryWorkspace* workspace = nullptr) const;
-
-  /// Validates a query without running it: non-empty group of known,
-  /// distinct participants (≤ 32 for GRECA, its seen-bitmask limit), k ≥ 1,
-  /// a non-empty candidate pool and an in-range evaluation period.
-  Status ValidateQuery(std::span<const UserId> group,
-                       const QuerySpec& spec) const;
-  Status ValidateQuery(const Snapshot& snap, std::span<const UserId> group,
-                       const QuerySpec& spec) const;
-
-  // Legacy direct accessors into the CURRENT snapshot, for tests and the
-  // evaluation harnesses. They return references/spans whose backing
-  // snapshot they do not pin, so they are safe only while no concurrent
-  // writer can publish (a publish may free the old generation the moment
-  // its last pin drops). Code that coexists with ApplyRatingUpdates /
-  // UpdateAffinitySource must pin snapshot() and read through it instead.
-
-  /// The affinity source bound to the current snapshot (lifetime caveat
-  /// above).
-  const AffinitySource& affinity_source() const {
-    return snapshot()->affinity();
-  }
-
-  /// CF-predicted ratings (universe scale) for a study participant, as of
-  /// the current snapshot (lifetime caveat above).
-  std::span<const Score> Predictions(UserId study_user) const;
-
-  /// The sorted-preference index of the current snapshot (lifetime caveat
-  /// above).
-  const PreferenceIndex& preference_index() const {
-    return snapshot()->index();
-  }
-  /// Ownership-sharing handle to the current snapshot's index.
-  std::shared_ptr<const PreferenceIndex> preference_index_snapshot() const {
-    return snapshot()->index_ptr();
-  }
-
-  /// Group cohesiveness signal: overlap-cosine of two participants' own
-  /// study ratings (§4.1.3). Reads the immutable as-generated study ratings,
-  /// not live updates — it feeds evaluation-group formation, which is
-  /// defined on the study artifacts.
-  double RatingSimilarity(UserId a, UserId b) const;
-
-  /// Model affinity of a pair at a period (used to form high/low affinity
-  /// groups; the 0.4 cut of §4.1.3 applies to this value). `period` follows
-  /// the QuerySpec convention (nullopt = last period) and must resolve — this
-  /// is an evaluation helper, not a query path, so an out-of-range period is
-  /// a programming error (returns 0 in release builds).
-  double ModelAffinity(UserId a, UserId b, std::optional<PeriodId> period,
-                       const AffinityModelSpec& spec) const;
-
-  const PeriodicAffinity& periodic_affinity() const { return periodic_; }
-  const PairTable& static_affinity() const { return static_; }
-  const DynamicAffinityIndex& dynamic_index() const { return dynamic_; }
-  const FacebookStudy& study() const { return *study_; }
-  std::size_t num_periods() const { return study_->periods.num_periods(); }
-
-  /// The single resolution point for the last-period convention: nullopt
-  /// resolves to the last study period, explicit in-range indices to
-  /// themselves, and anything else to kOutOfRange.
-  Result<PeriodId> ResolvePeriod(std::optional<PeriodId> requested) const;
-
- private:
-  /// One ApplyRatingUpdates call waiting in the group-commit queue. The
-  /// caller owns it on its stack and blocks until `done`; the leader fills
-  /// `report`/`status` before flipping `done` (GroupCommitQueue contract).
-  struct PendingUpdate {
-    std::span<const RatingEvent> events;
-    UpdateReport report;
-    Status status;  // non-OK when the leader's publish failed
-    bool done = false;
-  };
-
-  /// Builds and atomically publishes the next generation; returns its
-  /// generation id. `cache` is the period-list cache to carry forward (same
-  /// affinity binding) or null to start cold (affinity swaps). Callers hold
-  /// update_mutex_.
-  std::uint64_t Publish(
-      std::shared_ptr<const RatingsOverlay> ratings,
-      std::shared_ptr<const std::vector<std::vector<Score>>> preds,
-      std::shared_ptr<const PreferenceIndex> index,
-      std::shared_ptr<const AffinitySource> source,
-      std::shared_ptr<PeriodListCache> cache);
-
-  /// Folds one coalesced round of update batches into a single generation
-  /// (delta-log fold → optional compaction → touched-row rebuild → publish)
-  /// and fills every batch's report. Called by the group-commit leader with
-  /// no lock held; takes update_mutex_ itself.
-  void PublishUpdateRound(std::span<PendingUpdate* const> round);
-
-  const RatingsDataset* universe_;
-  const FacebookStudy* study_;
-  RecommenderOptions options_;
-  UserKnn knn_;
-  PairTable static_;       // raw common-friend counts (immutable study table)
-  PeriodicAffinity periodic_;
-  DynamicAffinityIndex dynamic_;
-
-  // The RCU publication point: queries copy the pointer, writers
-  // (serialized by update_mutex_) swap in a freshly built snapshot.
-  // snapshot_mu_ guards only the pointer itself — never held while
-  // rebuilding. Never null after construction.
-  mutable std::mutex snapshot_mu_;
-  std::shared_ptr<const Snapshot> snapshot_;
-  // Serializes snapshot builds (rating-update rounds and affinity swaps).
-  std::mutex update_mutex_;
-  std::uint64_t next_generation_ = 2;          // guarded by update_mutex_
-  std::size_t publishes_since_compaction_ = 0;  // guarded by update_mutex_
-
-  // Group-commit queue: ApplyRatingUpdates callers enqueue here; the first
-  // caller to find no leader becomes one and publishes whole rounds (all
-  // queued batches at once) until the queue drains (common/group_commit.h).
-  GroupCommitQueue<PendingUpdate> commit_;
-
-  // Update-path rebuild pool (null when options_.update_threads == 0).
-  // Distinct from any batch-serving pool — the rebuild fan-out runs on the
-  // writer path, so reader batches never contend for its workers.
-  std::unique_ptr<ThreadPool> update_pool_;
 };
 
 }  // namespace greca

@@ -1,18 +1,15 @@
-// Shared zero-copy problem assembly — the one implementation behind both
-// serving facades.
+// Zero-copy problem assembly for the serving engine.
 //
-// GroupRecommender::BuildProblem (single index) and the sharded engine's
-// scatter/gather path (src/shard/) assemble EXACTLY the same GroupProblem:
+// ShardedEngine::BuildProblem assembles one GroupProblem per query:
 // tombstoned pool-prefix candidates, one ListView per member sliced from a
 // PreferenceIndex, the group-normalized static affinity list, cached period
-// lists and the optional aggregated agreement list. This header extracts
-// that assembly into free functions parameterized by WHERE each member's
-// rows live (MemberSlice, topk/problem.h): the single-index path passes the
-// snapshot's index/overlay for every member, the sharded path passes each
-// member's own shard — and because every per-member input is identical
-// either way, the assembled problems (and therefore recommendations and
-// access counts) are bit-identical. That equivalence is the foundation of
-// sharded_equivalence_test.
+// lists and the optional aggregated agreement list. The functions here are
+// parameterized by WHERE each member's rows live (MemberSlice,
+// topk/problem.h): each member points at its owning shard's pinned index and
+// overlay. Rows depend only on the member's merged ratings, the pool and the
+// score scale, never on shard placement, so the assembled problems (and
+// therefore recommendations and access counts) are bit-identical at every
+// shard count — the foundation of sharded_equivalence_test.
 //
 // All candidate keys are POOL POSITIONS of a shared popularity pool: every
 // index participating in one assembly must have been built over the same
@@ -36,8 +33,8 @@
 namespace greca {
 
 /// The query-independent serving state one assembly reads (all non-owning;
-/// the caller pins lifetimes — a Snapshot, a ShardedSnapshotSet — on the
-/// returned problem).
+/// the caller pins lifetimes — a ShardedSnapshotSet — on the returned
+/// problem).
 struct AssemblyContext {
   /// Pool / item→key authority. Any index built over the shared pool.
   const PreferenceIndex* key_index = nullptr;
@@ -46,8 +43,7 @@ struct AssemblyContext {
   /// no period lists (!time_aware or !affinity_aware).
   PeriodListCache* period_cache = nullptr;
   /// The (group, pool) tombstone-bitmap memo — scoped to whatever pins the
-  /// members' rated-item state (the Snapshot's generation on the monolithic
-  /// path, the ShardedSnapshotSet's generation vector on the sharded path);
+  /// members' rated-item state (the ShardedSnapshotSet's generation vector);
   /// null = build the bitmap per call.
   TombstoneCache* tombstone_cache = nullptr;
   bool exclude_group_rated = true;
@@ -59,12 +55,12 @@ struct AssemblyContext {
 Result<PeriodId> ResolveEvalPeriod(std::optional<PeriodId> requested,
                                    std::size_t num_periods);
 
-/// Validation shared by every facade: non-empty group of known, distinct
-/// members, a registered solver (unknown QuerySpec::solver_id values are
-/// rejected with kInvalidArgument; the resolved solver's own ValidateQuery
-/// hook may veto further — GRECA caps groups at 32 members), k >= 1, a
-/// non-empty candidate pool, an in-range evaluation period and (for
-/// time+affinity aware models) an affinity source covering it.
+/// Query validation (the engine's single copy): non-empty group of known,
+/// distinct members, a registered solver (unknown QuerySpec::solver_id
+/// values are rejected with kInvalidArgument; the resolved solver's own
+/// ValidateQuery hook may veto further — GRECA caps groups at 32 members),
+/// k >= 1, a non-empty candidate pool, an in-range evaluation period and
+/// (for time+affinity aware models) an affinity source covering it.
 Status ValidateGroupQuery(std::span<const UserId> group, const QuerySpec& spec,
                           std::size_t num_users, std::size_t num_periods,
                           std::size_t affinity_num_periods);

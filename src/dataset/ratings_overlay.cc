@@ -146,10 +146,22 @@ std::optional<Score> RatingsOverlay::GetRating(UserId u, ItemId i) const {
 }
 
 RatingsDataset RatingsOverlay::Compact() const {
+  std::vector<UserId> users(num_users());
+  std::iota(users.begin(), users.end(), UserId{0});
+  return CompactUsers(users);
+}
+
+RatingsDataset RatingsOverlay::CompactUsers(
+    std::span<const UserId> users) const {
+  assert(std::is_sorted(users.begin(), users.end()));
+  std::size_t bound = 0;  // base + delta sizes: an upper bound on merged
+  for (const UserId u : users) {
+    bound += base_->RatingsOfUser(u).size() + DeltaOfUser(u).size();
+  }
   std::vector<RatingRecord> records;
-  records.reserve(num_ratings());
+  records.reserve(bound);
   std::vector<UserRatingEntry> scratch;
-  for (UserId u = 0; u < num_users(); ++u) {
+  for (const UserId u : users) {
     for (const UserRatingEntry& e : MergedRatingsOfUser(u, scratch)) {
       records.push_back({u, e.item, e.rating, e.timestamp});
     }

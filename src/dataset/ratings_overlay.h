@@ -7,9 +7,9 @@
 // live ratings (sorted by item, latest-(timestamp, rating)-wins already
 // applied), and every read merges base + delta on the fly. Applying a batch
 // of events is O(delta) — it rebuilds only the touched users' delta rows and
-// shares everything else — and a periodic Compact() folds the log back into a
-// fresh immutable base off the serving path (see the compaction policy knobs
-// in RecommenderOptions).
+// shares everything else — and a periodic compaction folds the log back into
+// a fresh immutable base off the serving path (see the compaction policy
+// knobs in ShardedEngineOptions).
 //
 // Merge semantics are EXACTLY RatingsDataset::FromRecords: per (user, item)
 // the winner is the lexicographic max of (timestamp, rating), so replaying
@@ -71,6 +71,13 @@ class RatingsOverlay {
   /// step. Bit-identical to FromRecords over the base records plus every
   /// winning live event.
   RatingsDataset Compact() const;
+
+  /// Compact() restricted to `users` (ascending, distinct): the result keeps
+  /// num_users() and num_items(), holds every listed user's merged row, and
+  /// leaves every other user's row empty. A shard compacts only the users it
+  /// owns, so the cost and the resident copy scale with the shard, not with
+  /// the population its base is shared with.
+  RatingsDataset CompactUsers(std::span<const UserId> users) const;
 
   const RatingsDataset& base() const { return *base_; }
   const std::shared_ptr<const RatingsDataset>& base_ptr() const {

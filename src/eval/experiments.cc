@@ -6,6 +6,7 @@
 #include "api/query_builder.h"
 #include "common/distributions.h"
 #include "common/stats.h"
+#include "shard/sharded_engine.h"
 #include "solver/solver_registry.h"
 
 namespace greca {
@@ -35,10 +36,10 @@ RecommendationVariant RecommendationVariant::WithConsensus(
   return {std::move(label), AffinityModelSpec::Default(), consensus};
 }
 
-QualityHarness::QualityHarness(const GroupRecommender& recommender,
+QualityHarness::QualityHarness(const ShardedEngine& engine,
                                const SatisfactionOracle& oracle,
                                std::vector<StudyGroup> groups, std::size_t k)
-    : recommender_(&recommender),
+    : engine_(&engine),
       oracle_(&oracle),
       groups_(std::move(groups)),
       k_(k) {}
@@ -48,14 +49,14 @@ std::vector<ItemId> QualityHarness::RecommendList(
   // The naive solver gives the exact, totally-ordered list; quality results
   // must not depend on GRECA's partial order. Selected through the registry
   // id (the builder path) rather than the legacy enum.
-  const Result<Query> query = QueryBuilder(*recommender_)
+  const Result<Query> query = QueryBuilder(*engine_)
                                   .Members(group.members)
                                   .TopK(k_)
                                   .Model(v.model)
                                   .Consensus(v.consensus)
                                   .Using(std::string(kNaiveSolverId))
                                   .Build();
-  return recommender_->Recommend(query.value().group, query.value().spec)
+  return engine_->Recommend(query.value().group, query.value().spec)
       .value()
       .items;
 }
@@ -63,7 +64,7 @@ std::vector<ItemId> QualityHarness::RecommendList(
 std::vector<double> QualityHarness::IndependentEval(
     const RecommendationVariant& v) const {
   const auto last =
-      static_cast<PeriodId>(recommender_->num_periods() - 1);
+      static_cast<PeriodId>(engine_->num_periods() - 1);
   std::vector<double> per_group;
   per_group.reserve(groups_.size());
   for (const StudyGroup& g : groups_) {
@@ -89,7 +90,7 @@ std::vector<double> QualityHarness::IndependentEval(
 std::vector<double> QualityHarness::ComparativeEval(
     const RecommendationVariant& v1, const RecommendationVariant& v2) const {
   const auto last =
-      static_cast<PeriodId>(recommender_->num_periods() - 1);
+      static_cast<PeriodId>(engine_->num_periods() - 1);
   std::vector<double> per_group;
   per_group.reserve(groups_.size());
   for (const StudyGroup& g : groups_) {
@@ -116,7 +117,7 @@ std::vector<double> QualityHarness::ComparativeEval(
 std::vector<std::vector<double>> QualityHarness::VoteShares(
     std::span<const RecommendationVariant> variants) const {
   const auto last =
-      static_cast<PeriodId>(recommender_->num_periods() - 1);
+      static_cast<PeriodId>(engine_->num_periods() - 1);
   std::vector<std::vector<double>> result(
       variants.size(), std::vector<double>(kNumCharacteristics, 0.0));
   std::vector<std::size_t> bucket_counts(kNumCharacteristics, 0);
@@ -146,9 +147,9 @@ std::vector<std::vector<double>> QualityHarness::VoteShares(
   return result;
 }
 
-PerformanceHarness::PerformanceHarness(const GroupRecommender& recommender,
+PerformanceHarness::PerformanceHarness(const ShardedEngine& engine,
                                        std::uint64_t seed)
-    : recommender_(&recommender), seed_(seed) {}
+    : engine_(&engine), seed_(seed) {}
 
 QuerySpec PerformanceHarness::DefaultSpec() {
   QuerySpec spec;
@@ -165,7 +166,7 @@ QuerySpec PerformanceHarness::DefaultSpec() {
 std::vector<Group> PerformanceHarness::RandomGroups(std::size_t count,
                                                     std::size_t size) const {
   Rng rng(seed_ ^ (size * 0x9E3779B97F4A7C15ULL));
-  const std::size_t n = recommender_->study().num_participants();
+  const std::size_t n = engine_->num_users();
   assert(size <= n);
   std::vector<Group> groups;
   groups.reserve(count);
@@ -186,7 +187,7 @@ PerformanceHarness::SaMeasurement PerformanceHarness::Measure(
   OnlineStats saveup;
   OnlineStats rounds;
   for (const Group& g : groups) {
-    const Recommendation rec = recommender_->Recommend(g, spec).value();
+    const Recommendation rec = engine_->Recommend(g, spec).value();
     sa.Add(rec.raw.SequentialAccessPercent());
     saveup.Add(rec.raw.SaveupPercent());
     rounds.Add(static_cast<double>(rec.raw.rounds));

@@ -15,6 +15,8 @@
 
 namespace greca {
 
+class ShardedEngine;
+
 /// One recommendation configuration compared in the quality study.
 struct RecommendationVariant {
   std::string label;
@@ -34,8 +36,7 @@ struct RecommendationVariant {
 /// the last study period.
 class QualityHarness {
  public:
-  QualityHarness(const GroupRecommender& recommender,
-                 const SatisfactionOracle& oracle,
+  QualityHarness(const ShardedEngine& engine, const SatisfactionOracle& oracle,
                  std::vector<StudyGroup> groups, std::size_t k = 10);
 
   /// Independent evaluation (Figure 1): mean group satisfaction % per
@@ -59,7 +60,7 @@ class QualityHarness {
   const std::vector<StudyGroup>& groups() const { return groups_; }
 
  private:
-  const GroupRecommender* recommender_;
+  const ShardedEngine* engine_;
   const SatisfactionOracle* oracle_;
   std::vector<StudyGroup> groups_;
   std::size_t k_;
@@ -70,7 +71,7 @@ class QualityHarness {
 /// 3 900 items, AP, discrete model).
 class PerformanceHarness {
  public:
-  PerformanceHarness(const GroupRecommender& recommender, std::uint64_t seed);
+  PerformanceHarness(const ShardedEngine& engine, std::uint64_t seed);
 
   struct SaMeasurement {
     double mean_sa_percent = 0.0;
@@ -79,7 +80,7 @@ class PerformanceHarness {
     double mean_rounds = 0.0;
   };
 
-  /// Deterministic random groups of study participants.
+  /// Deterministic random groups of the engine's users.
   std::vector<Group> RandomGroups(std::size_t count, std::size_t size) const;
 
   SaMeasurement Measure(std::span<const Group> groups,
@@ -94,7 +95,7 @@ class PerformanceHarness {
   static QuerySpec DefaultSpec();
 
  private:
-  const GroupRecommender* recommender_;
+  const ShardedEngine* engine_;
   std::uint64_t seed_;
 };
 

@@ -5,6 +5,9 @@
 #include <functional>
 #include <limits>
 
+#include "cf/similarity.h"
+#include "core/problem_assembly.h"
+
 namespace greca {
 
 std::string CharacteristicName(GroupCharacteristic c) {
@@ -108,8 +111,27 @@ Group FormOne(const StudyGroupSpec& spec,
 
 }  // namespace
 
-std::vector<StudyGroup> FormStudyGroups(const GroupRecommender& recommender) {
-  const FacebookStudy& study = recommender.study();
+double RatingSimilarity(const RatingsDataset& ratings, UserId a, UserId b) {
+  return PearsonSimilarity(ratings.RatingsOfUser(a), ratings.RatingsOfUser(b));
+}
+
+double ModelAffinity(const AffinitySource& source, UserId a, UserId b,
+                     std::optional<PeriodId> period,
+                     const AffinityModelSpec& spec) {
+  const Result<PeriodId> resolved =
+      ResolveEvalPeriod(period, source.num_periods());
+  assert(resolved.ok() && "ModelAffinity requires an in-range period");
+  if (!resolved.ok()) return 0.0;
+  const PeriodId p = resolved.value();
+  std::vector<double> aff_p;
+  aff_p.reserve(p + 1);
+  for (PeriodId q = 0; q <= p; ++q) aff_p.push_back(source.Periodic(a, b, q));
+  const AffinityCombiner combiner(spec, source.PeriodAverages(p));
+  return combiner.Combine(source.NormalizedStatic(a, b), aff_p);
+}
+
+std::vector<StudyGroup> FormStudyGroups(const FacebookStudy& study,
+                                        const AffinitySource& affinity) {
   const std::size_t n = study.num_participants();
 
   // Cache the pair-wise signals once.
@@ -118,9 +140,8 @@ std::vector<StudyGroup> FormStudyGroups(const GroupRecommender& recommender) {
   const AffinityModelSpec model;  // discrete temporal model
   for (UserId a = 0; a < n; ++a) {
     for (UserId b = static_cast<UserId>(a + 1); b < n; ++b) {
-      const double s = recommender.RatingSimilarity(a, b);
-      const double f =
-          recommender.ModelAffinity(a, b, std::nullopt, model);
+      const double s = RatingSimilarity(study.study_ratings, a, b);
+      const double f = ModelAffinity(affinity, a, b, std::nullopt, model);
       sim_cache[a * n + b] = sim_cache[b * n + a] = s;
       aff_cache[a * n + b] = aff_cache[b * n + a] = f;
     }

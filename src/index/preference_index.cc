@@ -184,27 +184,10 @@ PreferenceIndex PreferenceIndex::BuildStreaming(
   return index;
 }
 
-namespace {
-
-/// Runs `rebuild(i)` for every i in [0, n), optionally fanned out over a
-/// thread pool (touched rows are disjoint — bit-identical to serial order).
-template <typename RebuildFn>
-void RebuildTouchedRows(std::size_t n, ThreadPool* threads,
-                        const RebuildFn& rebuild) {
-  if (threads != nullptr && n > 1) {
-    threads->ParallelFor(n, [&](std::size_t, std::size_t i) { rebuild(i); });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) rebuild(i);
-  }
-}
-
-}  // namespace
-
-PreferenceIndex PreferenceIndex::CloneWithUpdatedRows(
+PreferenceIndex PreferenceIndex::CloneWithUpdatedPoolRows(
     std::span<const UserId> users,
-    std::span<const std::span<const Score>> predictions,
-    ThreadPool* threads) const {
-  assert(users.size() == predictions.size());
+    std::span<const std::span<const Score>> pool_scores) const {
+  assert(users.size() == pool_scores.size());
   PreferenceIndex clone;
   clone.num_users_ = num_users_;
   clone.scale_max_ = scale_max_;
@@ -212,8 +195,8 @@ PreferenceIndex PreferenceIndex::CloneWithUpdatedRows(
   clone.pool_position_of_item_ = pool_position_of_item_;
   clone.band_begin_ = band_begin_;
   // Wholesale copy-assign on purpose: touched rows get written twice
-  // (RebuildRow overwrites them), but touched × pool is tiny next to the
-  // full array, while any skip-the-touched-rows scheme pays a full
+  // (RebuildRowFromPool overwrites them), but touched × pool is tiny next to
+  // the full array, while any skip-the-touched-rows scheme pays a full
   // value-initializing resize first — double the memory traffic of this
   // single copy.
   clone.keys_ = keys_;
@@ -222,34 +205,10 @@ PreferenceIndex PreferenceIndex::CloneWithUpdatedRows(
   clone.flat_keys_ = flat_keys_;
   clone.flat_scores_ = flat_scores_;
   clone.flat_positions_ = flat_positions_;
-  RebuildTouchedRows(users.size(), threads, [&](std::size_t i) {
-    assert(users[i] < num_users_);
-    clone.RebuildRow(users[i], predictions[i]);
-  });
-  return clone;
-}
-
-PreferenceIndex PreferenceIndex::CloneWithUpdatedPoolRows(
-    std::span<const UserId> users,
-    std::span<const std::span<const Score>> pool_scores,
-    ThreadPool* threads) const {
-  assert(users.size() == pool_scores.size());
-  PreferenceIndex clone;
-  clone.num_users_ = num_users_;
-  clone.scale_max_ = scale_max_;
-  clone.pool_ = pool_;
-  clone.pool_position_of_item_ = pool_position_of_item_;
-  clone.band_begin_ = band_begin_;
-  clone.keys_ = keys_;
-  clone.scores_ = scores_;
-  clone.positions_ = positions_;
-  clone.flat_keys_ = flat_keys_;
-  clone.flat_scores_ = flat_scores_;
-  clone.flat_positions_ = flat_positions_;
-  RebuildTouchedRows(users.size(), threads, [&](std::size_t i) {
+  for (std::size_t i = 0; i < users.size(); ++i) {
     assert(users[i] < num_users_);
     clone.RebuildRowFromPool(users[i], pool_scores[i]);
-  });
+  }
   return clone;
 }
 

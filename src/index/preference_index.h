@@ -5,15 +5,15 @@
 // inside every BuildProblem call — the dominant per-query cost at scale
 // (§4.2's candidate-pool sweep exists precisely because list preparation
 // dominates). This index moves that work to construction time: for every
-// study participant it stores one row over the popular-item pool, sorted by
+// user a shard owns it stores one row over the popular-item pool, sorted by
 // descending predicted preference, plus a key→position array for random
 // access.
 //
 // Keys are pool positions (popularity ranks), so a query's candidate pool of
 // size C is simply the key prefix [0, C): UserView() restricts a stored row
 // to that prefix and tombstones the group's already-rated items via a bitmap
-// — no per-query sort, copy, or re-keying. One index snapshot is shared
-// read-only by every batch worker (src/api/engine.h).
+// — no per-query sort, copy, or re-keying. Each published index is shared
+// read-only by every batch worker (shard/sharded_engine.h).
 //
 // Row storage is structure-of-arrays: parallel key (uint32) and score
 // (double) arrays per row instead of interleaved (key, score) structs. The
@@ -34,7 +34,7 @@
 // and access counts are bit-identical across layouts. With a single band
 // (the flat layout, band_begin = {0, pool}) the row is globally sorted and
 // views degenerate to the plain linear walk — kept as an equivalence and
-// bench baseline (RecommenderOptions::index_layout).
+// bench baseline (ShardedEngineOptions::index_layout).
 //
 // A banded index additionally keeps each row in global (flat) order: when a
 // prefix covers most of the row the band merge cannot pay for itself (few
@@ -47,10 +47,10 @@
 // merge — same results, no twin bytes.
 //
 // Live updates never mutate a published index. When ratings change, the
-// writer calls CloneWithUpdatedRows() with the affected users' fresh CF
-// predictions: the clone copies the untouched rows wholesale and re-sorts
-// only the affected ones, then gets published inside a new Snapshot
-// (src/api/snapshot.h) via atomic pointer swap — readers holding the old
+// owning shard calls CloneWithUpdatedPoolRows() with the affected users'
+// fresh pool scores: the clone copies the untouched rows wholesale and
+// re-sorts only the affected ones, then gets published inside a new
+// ShardSnapshot (shard/shard.h) via pointer swap — readers holding the old
 // index are unaffected.
 #ifndef GRECA_INDEX_PREFERENCE_INDEX_H_
 #define GRECA_INDEX_PREFERENCE_INDEX_H_
@@ -134,29 +134,16 @@ class PreferenceIndex {
       std::size_t pool_size, std::size_t first_band = 64);
 
   /// Incremental rebuild for live updates: a full copy of this index in
-  /// which the rows of `users` (parallel to `predictions`: predictions[i]
-  /// is a view of users[i]'s fresh per-ItemId prediction array) are
-  /// re-normalized and re-sorted; every other row is copied bit-identically.
-  /// The pool, the item→key map and the score normalization (scale_max) are
-  /// inherited. Cost: one O(users × pool) memcpy plus O(pool log pool) per
-  /// updated row.
-  /// `threads`, when non-null, fans the per-row rebuilds out over the pool
-  /// (rows are disjoint, so the result is bit-identical to the serial path;
-  /// the caller must not be running on one of the pool's own workers).
-  PreferenceIndex CloneWithUpdatedRows(
-      std::span<const UserId> users,
-      std::span<const std::span<const Score>> predictions,
-      ThreadPool* threads = nullptr) const;
-
-  /// CloneWithUpdatedRows twin fed pool-position scores instead of
-  /// per-universe-item predictions: pool_scores[i][key] is users[i]'s raw
-  /// (universe-scale) score for pool()[key] — the per-shard publish path,
-  /// where full per-item arrays never exist. Same layout, normalization and
-  /// ordering guarantees as CloneWithUpdatedRows.
+  /// which the rows of `users` (parallel to `pool_scores`:
+  /// pool_scores[i][key] is users[i]'s raw, universe-scale score for
+  /// pool()[key]) are re-normalized and re-sorted; every other row is copied
+  /// bit-identically. The pool, the item→key map and the score normalization
+  /// (scale_max) are inherited. Rows come out bit-identical to Build() fed
+  /// the same scores. Cost: one O(users × pool) memcpy plus
+  /// O(pool log pool) per updated row.
   PreferenceIndex CloneWithUpdatedPoolRows(
       std::span<const UserId> users,
-      std::span<const std::span<const Score>> pool_scores,
-      ThreadPool* threads = nullptr) const;
+      std::span<const std::span<const Score>> pool_scores) const;
 
   std::size_t num_users() const { return num_users_; }
   std::size_t pool_size() const { return pool_.size(); }
@@ -302,7 +289,7 @@ class PreferenceIndex {
   /// The UserView band-span memo: one packed (prefix+1) << 32 | nb entry
   /// (0 = cold), atomic so concurrent batch workers share it without racing.
   /// All special members reset to cold — an index copied or moved (the
-  /// CloneWithUpdatedRows/CloneWithUpdatedPoolRows publish path) starts
+  /// CloneWithUpdatedPoolRows publish path) starts
   /// invalidated, and PreferenceIndex keeps its implicit value semantics
   /// despite the atomic.
   struct BandSpanMemo {

@@ -22,11 +22,11 @@
 // bucket, who solved) is reported so callers can audit the sharing.
 //
 // Equivalence contract: the algorithms are deterministic functions of
-// (snapshot, group, spec), so a fanned-out copy is bit-identical — items,
+// (pinned set, group, spec), so a fanned-out copy is bit-identical — items,
 // scores, access counts — to solving the duplicate query itself, and invalid
 // queries receive exactly the Status the unplanned path would produce
 // (planning validates with the same shared ValidateGroupQuery). Enforced by
-// tests/planner_equivalence_test.cc on both Engine and ShardedEngine.
+// tests/planner_equivalence_test.cc.
 //
 // Cost model: planning is O(total group ids) hashing + one hash-map probe
 // per query, a few hundred ns per query — negligible against a solve (tens
@@ -60,8 +60,8 @@ struct BatchQueryAttribution {
 
 /// Execution stats of one planned (or unplanned) batch: what the planner
 /// shared, what the lazy-agreement path skipped, and what the snapshot
-/// caches did while the batch ran. Filled by Engine::RecommendBatch /
-/// ShardedEngine::RecommendBatch when the caller passes one.
+/// caches did while the batch ran. Filled by ShardedEngine::RecommendBatch
+/// when the caller passes one.
 struct BatchReport {
   /// False when the engine ran the one-problem-per-query reference path
   /// (plan_batches = false); the counters below are still filled.
@@ -85,9 +85,9 @@ struct BatchReport {
   std::size_t agreement_lists_materialized = 0;
   std::size_t agreement_lists_skipped = 0;
 
-  /// Snapshot-cache counter deltas across the batch (monolithic: the pinned
-  /// Snapshot's caches; sharded: the engine period cache + the pinned set's
-  /// generation-vector-scoped tombstone memo).
+  /// Cache counter deltas across the batch: the pinned set's period-list
+  /// cache (shared by every set under the same affinity binding) and its
+  /// generation-vector-scoped tombstone memo.
   std::uint64_t period_cache_hits = 0;
   std::uint64_t period_cache_misses = 0;
   std::uint64_t tombstone_cache_hits = 0;

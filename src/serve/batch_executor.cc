@@ -5,6 +5,9 @@
 #include <thread>
 #include <utility>
 
+#include "core/problem_assembly.h"
+#include "shard/sharded_engine.h"
+
 namespace greca {
 
 std::size_t ResolveBatchThreads(std::size_t requested) {
@@ -14,6 +17,55 @@ std::size_t ResolveBatchThreads(std::size_t requested) {
 }
 
 namespace {
+
+/// Lazy-agreement outcome of one solved problem, aggregated into
+/// BatchReport::agreement_lists_{materialized,skipped}.
+struct SolveOutcome {
+  bool agreement_deferred = false;
+  bool agreement_materialized = false;
+};
+
+/// The set's cache counters at one point in time, taken before and after a
+/// batch to report the batch's own deltas.
+struct CacheCounters {
+  std::uint64_t period_hits = 0, period_misses = 0;
+  std::uint64_t tomb_hits = 0, tomb_misses = 0, tomb_evictions = 0;
+
+  explicit CacheCounters(const ShardedSnapshotSet& set)
+      : period_hits(set.period_cache().hits()),
+        period_misses(set.period_cache().misses()),
+        tomb_hits(set.tombstone_cache().hits()),
+        tomb_misses(set.tombstone_cache().misses()),
+        tomb_evictions(set.tombstone_cache().evictions()) {}
+
+  void DeltaInto(const CacheCounters& before, BatchReport& report) const {
+    report.period_cache_hits = period_hits - before.period_hits;
+    report.period_cache_misses = period_misses - before.period_misses;
+    report.tombstone_cache_hits = tomb_hits - before.tomb_hits;
+    report.tombstone_cache_misses = tomb_misses - before.tomb_misses;
+    report.tombstone_cache_evictions = tomb_evictions - before.tomb_evictions;
+  }
+};
+
+/// One query's build + solve on `ws` against the pinned set — exactly
+/// ShardedEngine::Recommend, split so the problem's lazy-agreement flags
+/// can be read back after the solve (materialization happens on first walk,
+/// i.e. during the solve). Invalid queries yield the validation Status.
+Result<Recommendation> SolveOne(
+    const ShardedEngine& engine,
+    const std::shared_ptr<const ShardedSnapshotSet>& set, const Query& query,
+    QueryWorkspace& ws, SolveOutcome* outcome) {
+  Result<GroupProblem> problem =
+      engine.BuildProblem(set, query.group, query.spec, nullptr, &ws);
+  if (!problem.ok()) return problem.status();
+  Result<Recommendation> rec =
+      SolveGroupProblem(problem.value(), query.spec, set->pool(), ws);
+  if (outcome != nullptr) {
+    outcome->agreement_deferred = problem.value().agreement_deferred();
+    outcome->agreement_materialized = problem.value().agreement_materialized();
+  }
+  return rec;
+}
 
 /// Runs fn(workspace, index) for every index in [0, n): over `pool` with one
 /// leased workspace per worker, or inline with a single lease when `pool` is
@@ -37,15 +89,18 @@ void RunUnits(std::size_t n, ThreadPool* pool, WorkspacePool& workspaces,
 }
 
 std::vector<Result<Recommendation>> ExecuteUnplanned(
-    const ServingBackend& backend, std::span<const Query> queries,
-    ThreadPool* pool, WorkspacePool& workspaces,
-    const ServingCacheCounters& before, BatchReport* report) {
+    const ShardedEngine& engine,
+    const std::shared_ptr<const ShardedSnapshotSet>& set,
+    std::span<const Query> queries, ThreadPool* pool,
+    WorkspacePool& workspaces, const CacheCounters& before,
+    BatchReport* report) {
   // One problem per query; SolveOne validates internally, so invalid queries
   // surface their validation Status in place.
   std::vector<std::optional<Result<Recommendation>>> scratch(queries.size());
   RunUnits(queries.size(), pool, workspaces,
            [&](QueryWorkspace& ws, std::size_t i) {
-             scratch[i].emplace(backend.SolveOne(queries[i], ws, nullptr));
+             scratch[i].emplace(
+                 SolveOne(engine, set, queries[i], ws, nullptr));
            });
   std::vector<Result<Recommendation>> results;
   results.reserve(queries.size());
@@ -67,21 +122,28 @@ std::vector<Result<Recommendation>> ExecuteUnplanned(
       report->per_query[i] = {bucket++, /*representative=*/true};
     }
     report->num_buckets = bucket;
-    backend.Counters().DeltaInto(before, *report);
+    CacheCounters(*set).DeltaInto(before, *report);
   }
   return results;
 }
 
 std::vector<Result<Recommendation>> ExecutePlanned(
-    const ServingBackend& backend, std::span<const Query> queries,
-    ThreadPool* pool, WorkspacePool& workspaces,
-    const ServingCacheCounters& before, BatchReport* report) {
+    const ShardedEngine& engine,
+    const std::shared_ptr<const ShardedSnapshotSet>& set,
+    std::span<const Query> queries, ThreadPool* pool,
+    WorkspacePool& workspaces, const CacheCounters& before,
+    BatchReport* report) {
+  // Validation against the pinned set's binding: byte-identical to the
+  // Status SolveOne would return for the same query.
   BatchPlan plan = BatchPlanner::Plan(
-      queries, [&](const Query& q) { return backend.Validate(q); },
-      backend.num_periods());
+      queries,
+      [&](const Query& q) {
+        return engine.ValidateQuery(*set, q.group, q.spec);
+      },
+      engine.num_periods());
 
   // Solve one representative problem per bucket. Buckets are independent
-  // (distinct execution signatures against one immutable pinned view), so
+  // (distinct execution signatures against one immutable pinned set), so
   // they run over the pool; every fanned-out copy below is bit-identical to
   // solving its query directly.
   struct BucketOutcome {
@@ -93,7 +155,7 @@ std::vector<Result<Recommendation>> ExecutePlanned(
            [&](QueryWorkspace& ws, std::size_t b) {
              const Query& q = queries[plan.buckets[b].queries.front()];
              solved[b].result.emplace(
-                 backend.SolveOne(q, ws, &solved[b].agreement));
+                 SolveOne(engine, set, q, ws, &solved[b].agreement));
            });
 
   // Fan the solved results back out to every duplicate, in input order.
@@ -130,7 +192,7 @@ std::vector<Result<Recommendation>> ExecutePlanned(
                  plan.buckets[b].queries.front() ==
                      static_cast<std::uint32_t>(i)};
     }
-    backend.Counters().DeltaInto(before, *report);
+    CacheCounters(*set).DeltaInto(before, *report);
   }
   return results;
 }
@@ -138,14 +200,15 @@ std::vector<Result<Recommendation>> ExecutePlanned(
 }  // namespace
 
 std::vector<Result<Recommendation>> BatchExecutor::Execute(
-    const ServingBackend& backend, std::span<const Query> queries,
-    bool planned, ThreadPool* pool, WorkspacePool& workspaces,
-    BatchReport* report) {
-  const ServingCacheCounters before = backend.Counters();
-  return planned ? ExecutePlanned(backend, queries, pool, workspaces, before,
-                                  report)
-                 : ExecuteUnplanned(backend, queries, pool, workspaces, before,
-                                    report);
+    const ShardedEngine& engine,
+    const std::shared_ptr<const ShardedSnapshotSet>& set,
+    std::span<const Query> queries, bool planned, ThreadPool* pool,
+    WorkspacePool& workspaces, BatchReport* report) {
+  const CacheCounters before(*set);
+  return planned ? ExecutePlanned(engine, set, queries, pool, workspaces,
+                                  before, report)
+                 : ExecuteUnplanned(engine, set, queries, pool, workspaces,
+                                    before, report);
 }
 
 }  // namespace greca

@@ -1,9 +1,6 @@
-// The single batch execution path behind Engine::RecommendBatch and
-// ShardedEngine::RecommendBatch.
+// The batch execution path behind ShardedEngine::RecommendBatch.
 //
-// Given a ServingBackend (the pinned view + per-query solve, see
-// serving_backend.h), the executor owns everything the two engines used to
-// duplicate:
+// Given the engine and one pinned ShardedSnapshotSet, the executor owns:
 //
 //  * the PLANNED path — the sole BatchPlanner::Plan call site in the
 //    library: bucket valid queries by execution signature, solve one
@@ -16,23 +13,22 @@
 //    from a WorkspacePool; a null pool runs them inline on the calling
 //    thread, which doubles as the serial reference for the parallel path;
 //  * BatchReport assembly — dedup ratio, lazy-agreement counters, cache
-//    deltas (via the backend's counters), per-query attribution — one
-//    builder for all four {engine} × {planned} combinations.
+//    deltas (the set's period and tombstone caches), per-query attribution.
 //
 // Determinism: work units are independent and the algorithms are
-// deterministic functions of (pinned view, query), so parallel and serial
+// deterministic functions of (pinned set, query), so parallel and serial
 // execution produce bit-identical results — items, scores, access counts,
 // statuses. Cache hit/miss counters may differ between the two (racing
 // workers can both miss the same key) but cached VALUES never do.
 //
 // Concurrency: Execute is re-entrant. Workspaces come from the pool per
 // call, so concurrent batches on one engine interleave instead of queueing
-// behind a whole-batch mutex; the pinned view is backend-owned and
-// immutable.
+// behind a whole-batch mutex; the pinned set is immutable.
 #ifndef GRECA_SERVE_BATCH_EXECUTOR_H_
 #define GRECA_SERVE_BATCH_EXECUTOR_H_
 
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -40,26 +36,29 @@
 #include "common/thread_pool.h"
 #include "core/group_recommender.h"
 #include "plan/batch_planner.h"
-#include "serve/serving_backend.h"
 #include "serve/workspace_pool.h"
 
 namespace greca {
+
+class ShardedEngine;
+class ShardedSnapshotSet;
 
 /// Shared thread-count default: 0 picks max(2, hardware_concurrency).
 std::size_t ResolveBatchThreads(std::size_t requested);
 
 class BatchExecutor {
  public:
-  /// Runs `queries` against `backend`'s pinned view and returns one result
-  /// per query in input order. `planned` selects plan-then-solve vs the
-  /// one-problem-per-query reference path. `pool` is the parallelism source:
-  /// null runs every work unit inline on the calling thread (the serial
-  /// reference). `report`, when non-null, receives planner stats, cache
-  /// deltas, and per-query attribution.
+  /// Runs `queries` against `engine` on the pinned `set` (non-null) and
+  /// returns one result per query in input order. `planned` selects
+  /// plan-then-solve vs the one-problem-per-query reference path. `pool` is
+  /// the parallelism source: null runs every work unit inline on the
+  /// calling thread (the serial reference). `report`, when non-null,
+  /// receives planner stats, cache deltas, and per-query attribution.
   static std::vector<Result<Recommendation>> Execute(
-      const ServingBackend& backend, std::span<const Query> queries,
-      bool planned, ThreadPool* pool, WorkspacePool& workspaces,
-      BatchReport* report);
+      const ShardedEngine& engine,
+      const std::shared_ptr<const ShardedSnapshotSet>& set,
+      std::span<const Query> queries, bool planned, ThreadPool* pool,
+      WorkspacePool& workspaces, BatchReport* report);
 };
 
 }  // namespace greca

@@ -23,6 +23,9 @@ Shard::Shard(std::size_t shard_id, std::vector<UserId> users,
   // prediction matrix ever exists).
   auto overlay = std::make_shared<const RatingsOverlay>(base);
   const RatingsDataset& ratings = *base;
+  for (const UserId u : users_) {
+    own_base_ratings_ += ratings.RatingsOfUser(u).size();
+  }
   auto index =
       std::make_shared<const PreferenceIndex>(PreferenceIndex::BuildStreaming(
           users_.size(),
@@ -82,9 +85,8 @@ void Shard::PublishRound(std::span<PendingUpdate* const> round) {
   std::lock_guard<std::mutex> lock(update_mu_);
   const std::shared_ptr<const ShardSnapshot> cur = snapshot();
 
-  // Fold each coalesced batch in arrival order; per-batch attribution falls
-  // out of folding batch by batch (same protocol as the single-index
-  // recommender — see GroupRecommender::PublishUpdateRound).
+  // Fold each coalesced batch in arrival order; per-batch attribution
+  // (applied vs stale) falls out of folding batch by batch.
   std::shared_ptr<const RatingsOverlay> overlay = cur->ratings;
   std::vector<UserId> touched;
   std::vector<RatingRecord> records;
@@ -116,6 +118,8 @@ void Shard::PublishRound(std::span<PendingUpdate* const> round) {
   std::sort(touched.begin(), touched.end());
   touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
 
+  // Compaction folds the owned users' delta rows into a fresh shard-private
+  // base — O(shard), amortized across the publishes since the last fold.
   bool compacted = false;
   if ((options_.compact_every_n_publishes > 0 &&
        publishes_since_compaction_ + 1 >=
@@ -123,16 +127,18 @@ void Shard::PublishRound(std::span<PendingUpdate* const> round) {
       (options_.compact_delta_fraction > 0.0 &&
        static_cast<double>(overlay->delta_ratings()) >
            options_.compact_delta_fraction *
-               static_cast<double>(overlay->base().num_ratings()))) {
-    overlay = std::make_shared<const RatingsOverlay>(
-        std::make_shared<const RatingsDataset>(overlay->Compact()));
+               static_cast<double>(own_base_ratings_))) {
+    auto base = std::make_shared<const RatingsDataset>(
+        overlay->CompactUsers(users_));
+    own_base_ratings_ = base->num_ratings();
+    overlay = std::make_shared<const RatingsOverlay>(std::move(base));
     compacted = true;
   }
 
   // Rebuild only the touched local rows: predictor over the merged view →
   // raw pool scores → CloneWithUpdatedPoolRows (wholesale copy of this
-  // shard's rows + per-touched-row re-sort). The clone is 1/N of what a
-  // monolithic publish would copy — the shard-scaling mechanism.
+  // shard's rows + per-touched-row re-sort). The clone is 1/N of the
+  // population's rows — the shard-scaling mechanism.
   const PreferenceIndex& index = *cur->index;
   std::vector<std::uint32_t> rows;
   rows.reserve(touched.size());

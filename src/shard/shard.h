@@ -6,15 +6,16 @@
 //    smallest owned user id), built over the engine's shared popularity
 //    pool — every shard speaks the same candidate key space;
 //  * a RatingsOverlay delta log over the shared immutable base dataset
-//    (only owned users ever have delta rows here);
+//    (only owned users ever have delta rows here); compaction folds only
+//    the owned users into a shard-private base, whose rows for every other
+//    user are empty;
 //  * its own group-commit queue and RCU snapshot (generation-stamped
 //    overlay + index pair, swapped under a light mutex).
 //
 // Publish independence is the point: a rating batch touching only this
 // shard's users clones THIS shard's index (1/N of the population's rows),
-// not the whole fleet's — under locality-routed traffic the per-publish
-// byte cost drops by the shard count, which is where the multi-shard
-// throughput win comes from on a mixed read/write workload.
+// not the whole population's — under locality-routed traffic the
+// per-publish byte cost drops by the shard count.
 //
 // Prediction recompute goes through a PoolPredictor instead of stored
 // universe-scale prediction arrays: the predictor maps a user's merged
@@ -24,7 +25,7 @@
 // synthetic ground truth.
 //
 // Equivalence contract (tests/sharded_equivalence_test.cc): a shard's rows
-// are bit-identical to the corresponding rows of a monolithic index built
+// are bit-identical to the corresponding rows of a one-shard index built
 // from the same predictor over the same pool — rows depend only on (user's
 // merged ratings, pool, scale_max), none of which shard placement changes.
 #ifndef GRECA_SHARD_SHARD_H_
@@ -66,15 +67,14 @@ struct ShardSnapshot {
   std::shared_ptr<const PreferenceIndex> index;
 };
 
-/// Per-shard delta-log compaction policy (same semantics as
-/// RecommenderOptions; each shard triggers independently — compaction is
-/// unobservable, so independent triggers cannot break cross-shard
-/// equivalence).
+/// Per-shard delta-log compaction policy and row layout (see the
+/// ShardedEngineOptions fields of the same names; each shard triggers
+/// independently — compaction is unobservable, so independent triggers
+/// cannot break cross-shard equivalence).
 struct ShardOptions {
   std::size_t compact_every_n_publishes = 0;
+  /// Measured against the shard's OWN users' base ratings.
   double compact_delta_fraction = 0.25;
-  /// Keep the global-order twin of banded rows (see
-  /// RecommenderOptions::build_flat_twin).
   bool build_flat_twin = true;
 };
 
@@ -113,10 +113,13 @@ class Shard {
 
   /// Applies one PRE-VALIDATED, PRE-PARTITIONED sub-batch (every event's
   /// user owned by this shard, engine-arrival order preserved) and publishes
-  /// a new shard generation. Same contract as
-  /// GroupRecommender::ApplyRatingUpdates scoped to one shard: O(delta)
-  /// fold, touched-row-only rebuild, group commit for concurrent callers,
-  /// all-stale batches publish nothing. `report` receives the per-shard
+  /// a new shard generation. The fold keeps the latest (timestamp, rating)
+  /// per (user, item), matching RatingsDataset::FromRecords — stale events
+  /// are counted, not applied. O(delta) fold, touched-row-only rebuild;
+  /// concurrent callers group-commit (batches arriving during a publish
+  /// coalesce into the next generation); a batch that changes nothing
+  /// (empty, or all events stale) publishes nothing, so every generation
+  /// increment means a real state change. `report` receives the per-shard
   /// attribution (applied / stale / users_rebuilt / generation).
   Status Apply(std::span<const RatingEvent> events,
                UpdateReport* report = nullptr);
@@ -144,6 +147,9 @@ class Shard {
   std::mutex update_mu_;  // serializes this shard's snapshot builds
   std::uint64_t next_generation_ = 2;           // guarded by update_mu_
   std::size_t publishes_since_compaction_ = 0;  // guarded by update_mu_
+  /// Ratings of the owned users in the current base (the denominator of
+  /// compact_delta_fraction); guarded by update_mu_.
+  std::size_t own_base_ratings_ = 0;
   GroupCommitQueue<PendingUpdate> commit_;
 };
 

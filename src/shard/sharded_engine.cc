@@ -25,17 +25,16 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
           PeriodicAffinity::Compute(study.likes, study.periods))),
       dynamic_(std::make_unique<DynamicAffinityIndex>(
           DynamicAffinityIndex::Build(*periodic_))) {
-  // Same influence backing as the monolithic recommender: propagation
-  // centrality over the immutable study graph, so influence-weighted queries
-  // score identically on both engines.
+  // Influence weights for kInfluence queries: propagation centrality over
+  // the immutable study graph.
   auto influence = std::make_shared<const std::vector<double>>(
       PropagationCentrality(study.graph));
   affinity_ = std::make_shared<StudyAffinitySource>(
       static_, *periodic_, dynamic_.get(), std::move(influence));
   // The shard-side prediction backend: CF over the merged profile, gathered
   // down to pool positions. Feeding RebuildRowFromPool the same raw values
-  // Build() would read via pool[key] keeps shard rows bit-identical to a
-  // monolithic index over the same study.
+  // PreferenceIndex::Build() would read via pool[key] keeps every shard row
+  // bit-identical to a full-matrix index over the same study.
   const UserKnn* knn = knn_.get();
   predictor_ = [knn](UserId /*user*/,
                      std::span<const UserRatingEntry> merged_ratings,
@@ -43,8 +42,8 @@ ShardedEngine::ShardedEngine(const RatingsDataset& universe,
     const std::vector<Score> preds = knn->PredictAll(merged_ratings);
     for (std::size_t k = 0; k < pool.size(); ++k) out[k] = preds[pool[k]];
   };
-  // Generation 1 aliases the study-owned ratings, like the monolithic
-  // recommender (the study outlives the engine by contract).
+  // Generation 1 aliases the study-owned ratings (non-owning shared_ptr —
+  // the study outlives the engine by contract).
   auto base = std::shared_ptr<const RatingsDataset>(
       std::shared_ptr<const void>(), &study.study_ratings);
   BuildShards(std::move(base), /*scale_max=*/5.0,
@@ -59,8 +58,8 @@ ShardedEngine::ShardedEngine(ShardedEngineInputs inputs,
               options.strategy),
       num_universe_items_(inputs.num_universe_items),
       num_periods_(inputs.num_periods),
-      affinity_(std::move(inputs.affinity)),
-      predictor_(std::move(inputs.predictor)) {
+      predictor_(std::move(inputs.predictor)),
+      affinity_(std::move(inputs.affinity)) {
   assert(affinity_ != nullptr && predictor_ != nullptr);
   BuildShards(std::move(inputs.ratings), inputs.prediction_scale_max,
               std::move(inputs.pool), num_universe_items_);
@@ -120,6 +119,8 @@ std::shared_ptr<const ShardedSnapshotSet> ShardedEngine::Pin() const {
   if (last_pin_ != nullptr) {
     // Same per-shard snapshot pointers ⟺ same generation vector: hand out
     // the SAME set so repeat pins share its (group, pool) tombstone memo.
+    // An affinity swap resets last_pin_, so a reused set always carries the
+    // current binding.
     bool same = true;
     for (std::size_t s = 0; s < snaps.size(); ++s) {
       if (last_pin_->shard_ptr(s) != snaps[s]) {
@@ -130,14 +131,53 @@ std::shared_ptr<const ShardedSnapshotSet> ShardedEngine::Pin() const {
     if (same) return last_pin_;
   }
   last_pin_ = std::make_shared<const ShardedSnapshotSet>(
-      std::move(snaps), options_.tombstone_cache_max_entries);
+      std::move(snaps), affinity_, period_cache_,
+      options_.tombstone_cache_max_entries);
   return last_pin_;
+}
+
+void ShardedEngine::ReleaseStalePin(std::size_t s) {
+  const std::shared_ptr<const ShardSnapshot> current = shards_[s]->snapshot();
+  std::shared_ptr<const ShardedSnapshotSet> stale;
+  {
+    std::lock_guard<std::mutex> lock(pin_mu_);
+    if (last_pin_ != nullptr && last_pin_->shard_ptr(s) != current) {
+      stale = std::move(last_pin_);
+    }
+  }
+  // `stale` may hold the last reference to a full shard generation: free it
+  // outside pin_mu_.
+}
+
+Status ShardedEngine::UpdateAffinitySource(
+    std::shared_ptr<const AffinitySource> source) {
+  if (source == nullptr) {
+    return Status::InvalidArgument("affinity source must not be null");
+  }
+  auto cache =
+      std::make_shared<PeriodListCache>(options_.period_cache_max_entries);
+  std::shared_ptr<const ShardedSnapshotSet> previous;
+  {
+    std::lock_guard<std::mutex> lock(pin_mu_);
+    std::swap(affinity_, source);
+    std::swap(period_cache_, cache);
+    previous = std::move(last_pin_);
+  }
+  // The old binding and the cached set are released here, outside pin_mu_.
+  return Status::Ok();
+}
+
+const AffinitySource& ShardedEngine::affinity() const {
+  std::lock_guard<std::mutex> lock(pin_mu_);
+  return *affinity_;
 }
 
 Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
                                    ShardedUpdateReport* report) {
-  // All-or-nothing validation, identical to the monolithic path: no event
-  // is applied anywhere when any event is invalid.
+  // All-or-nothing validation: no event is applied anywhere when any event
+  // is invalid. A non-finite rating would poison the folded state
+  // permanently (CF norms and similarities all turn NaN), so it is gated
+  // with the rest.
   const std::size_t n = router_.num_users();
   for (const RatingEvent& e : events) {
     if (e.user >= n) {
@@ -157,7 +197,8 @@ Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
 
   // Scatter by ownership, preserving arrival order within each shard (a
   // user's events all route to one shard, so per-user fold order — the only
-  // order the overlay semantics depend on — is exactly the monolithic one).
+  // order the overlay semantics depend on — is arrival order at any shard
+  // count).
   std::vector<std::vector<RatingEvent>> per_shard_events(shards_.size());
   for (const RatingEvent& e : events) {
     per_shard_events[router_.ShardOf(e.user)].push_back(e);
@@ -176,11 +217,10 @@ Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
       continue;
     }
     ++out.shards_touched;
-    if (Status status =
-            shards_[s]->Apply(per_shard_events[s], &out.per_shard[s]);
-        !status.ok()) {
-      return status;
-    }
+    const Status status =
+        shards_[s]->Apply(per_shard_events[s], &out.per_shard[s]);
+    ReleaseStalePin(s);
+    if (!status.ok()) return status;
   }
 
   UpdateReport& total = out.total;
@@ -202,8 +242,20 @@ Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
 
 Status ShardedEngine::ValidateQuery(std::span<const UserId> group,
                                     const QuerySpec& spec) const {
+  std::size_t affinity_periods = 0;
+  {
+    std::lock_guard<std::mutex> lock(pin_mu_);
+    affinity_periods = affinity_->num_periods();
+  }
   return ValidateGroupQuery(group, spec, router_.num_users(), num_periods_,
-                            affinity_->num_periods());
+                            affinity_periods);
+}
+
+Status ShardedEngine::ValidateQuery(const ShardedSnapshotSet& set,
+                                    std::span<const UserId> group,
+                                    const QuerySpec& spec) const {
+  return ValidateGroupQuery(group, spec, router_.num_users(), num_periods_,
+                            set.affinity().num_periods());
 }
 
 std::size_t ShardedEngine::ShardsTouched(std::span<const UserId> group) const {
@@ -231,25 +283,27 @@ Result<Recommendation> ShardedEngine::Recommend(
     QueryWorkspace* workspace) const {
   QueryWorkspace local;
   QueryWorkspace& ws = workspace != nullptr ? *workspace : local;
-  return RecommendOnSet(set, group, spec, ws, nullptr);
+  Result<GroupProblem> problem = BuildProblem(set, group, spec, nullptr, &ws);
+  if (!problem.ok()) return problem.status();
+  return SolveGroupProblem(problem.value(), spec, set->pool(), ws);
 }
 
-Result<Recommendation> ShardedEngine::RecommendOnSet(
+Result<GroupProblem> ShardedEngine::BuildProblem(
     const std::shared_ptr<const ShardedSnapshotSet>& set,
     std::span<const UserId> group, const QuerySpec& spec,
-    QueryWorkspace& ws, SolveOutcome* outcome) const {
+    std::vector<ItemId>* candidates_out, QueryWorkspace* workspace) const {
   if (set == nullptr) {
     return Status::InvalidArgument("snapshot set must not be null");
   }
-  if (Status s = ValidateQuery(group, spec); !s.ok()) return s;
+  if (Status s = ValidateQuery(*set, group, spec); !s.ok()) return s;
   const PeriodId eval_period =
       ResolveEvalPeriod(spec.eval_period, num_periods_).value();
 
   // Scatter: one zero-copy MemberSlice per member, pointing into the owning
-  // shard's pinned generation. Gather happens inside the shared assembly —
-  // the same code path the monolithic recommender uses, fed per-shard rows
-  // instead of one index's rows.
-  std::vector<MemberSlice>& slices = ws.arena.member_slices;
+  // shard's pinned generation. Gather happens inside the shared assembly.
+  std::vector<MemberSlice> local_slices;
+  std::vector<MemberSlice>& slices =
+      workspace != nullptr ? workspace->arena.member_slices : local_slices;
   slices.clear();
   slices.reserve(group.size());
   for (const UserId u : group) {
@@ -258,32 +312,25 @@ Result<Recommendation> ShardedEngine::RecommendOnSet(
     slices.push_back(
         {snap.index.get(), shards_[s]->LocalRowOf(u), snap.ratings.get(), u});
   }
-  StampMemberWeights(*affinity_, group, spec, slices);
+  StampMemberWeights(set->affinity(), group, spec, slices);
   AssemblyContext ctx;
   ctx.key_index = set->shard(0).index.get();
-  ctx.affinity = affinity_.get();
-  ctx.period_cache = period_cache_.get();
+  ctx.affinity = &set->affinity();
+  ctx.period_cache = &set->period_cache();
   // Tombstone memo scoped to the SET: members pin a mix of per-shard
   // generations, so no single generation can scope a cache — but the set
   // pins that exact generation-vector mix for its whole lifetime, so its own
-  // memo is correct by construction (see ShardedSnapshotSet). Repeat pins
-  // reuse one set while nothing publishes, so repeated groups across queries
-  // hit too.
+  // memo is correct by construction (see ShardedSnapshotSet).
   ctx.tombstone_cache = &set->tombstone_cache();
   ctx.exclude_group_rated = options_.exclude_group_rated;
   GroupProblem problem = AssembleGroupProblem(ctx, group, slices, spec,
-                                              eval_period, nullptr, &ws);
+                                              eval_period, candidates_out,
+                                              workspace);
   // The problem's views alias rows of every touched shard's pinned
   // generation: share ownership of the whole set so they survive any
   // shard's concurrent publish.
   problem.PinLifetime(set);
-  Result<Recommendation> rec =
-      SolveGroupProblem(problem, spec, ctx.key_index->pool(), ws);
-  if (outcome != nullptr) {
-    outcome->agreement_deferred = problem.agreement_deferred();
-    outcome->agreement_materialized = problem.agreement_materialized();
-  }
-  return rec;
+  return problem;
 }
 
 std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
@@ -303,8 +350,7 @@ std::vector<Result<Recommendation>> ShardedEngine::RecommendBatch(
     }
     return results;
   }
-  const ShardedSetServingBackend backend(*this, set);
-  return BatchExecutor::Execute(backend, queries, options_.plan_batches,
+  return BatchExecutor::Execute(*this, set, queries, options_.plan_batches,
                                 batch_pool_.get(), workspace_pool_, report);
 }
 

@@ -19,8 +19,9 @@
 // Two assembly paths feed them:
 //  * the owning path (tests/benches): vectors of SortedLists are moved into
 //    the problem and adapted to views — the original seed composition style;
-//  * the zero-copy path (GroupRecommender::BuildProblem): preference views
-//    slice the shared PreferenceIndex directly and the small per-query
+//  * the zero-copy path (core/problem_assembly.h, reached through
+//    ShardedEngine::BuildProblem): preference views slice the pinned
+//    PreferenceIndex rows directly and the small per-query
 //    affinity/agreement lists live in a reusable ProblemArena, so steady-state
 //    assembly performs no allocation and no preference-list sort.
 #ifndef GRECA_TOPK_PROBLEM_H_
@@ -140,11 +141,10 @@ class GroupProblem {
   GroupProblem(const GroupProblem&) = delete;
   GroupProblem& operator=(const GroupProblem&) = delete;
 
-  /// Shares ownership of external storage the views alias — on the
-  /// snapshot-serving path BuildProblem pins the query's Snapshot here, so
-  /// the problem's index rows and cached period lists stay valid even after
-  /// the engine publishes a newer generation (type-erased: topk stays
-  /// independent of the api layer).
+  /// Shares ownership of external storage the views alias — the serving
+  /// path pins the query's ShardedSnapshotSet here, so the problem's index
+  /// rows stay valid even after a shard publishes a newer generation
+  /// (type-erased: topk stays independent of the serving layer).
   void PinLifetime(std::shared_ptr<const void> keep_alive) {
     pinned_ = std::move(keep_alive);
   }

@@ -1,7 +1,7 @@
-// Tests for the batch-first public API: Engine::RecommendBatch equivalence
-// with sequential execution, QueryBuilder validation, determinism across
-// thread counts, workspace reuse, the thread pool itself, and pluggable
-// affinity sources.
+// Tests for the public serving API: ShardedEngine::RecommendBatch
+// equivalence with sequential execution, QueryBuilder validation,
+// determinism across batch thread counts, workspace reuse, the thread pool
+// itself, and pluggable affinity sources.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,9 +12,11 @@
 #include <thread>
 #include <vector>
 
-#include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/thread_pool.h"
+#include "serve/batch_executor.h"
+#include "shard/sharded_engine.h"
+#include "test_util.h"
 
 namespace greca {
 namespace {
@@ -31,11 +33,7 @@ class ApiTest : public ::testing::Test {
     FacebookStudyConfig sc;
     sc.diversity_pool = 200;
     study_ = new FacebookStudy(GenerateFacebookStudy(sc, *universe_));
-    RecommenderOptions options;
-    options.max_candidate_items = 400;
-    EngineOptions eopts;
-    eopts.num_threads = 4;
-    engine_ = new Engine(*universe_, *study_, options, eopts);
+    engine_ = new ShardedEngine(universe_->dataset, *study_, Options(4));
   }
   static void TearDownTestSuite() {
     delete engine_;
@@ -46,13 +44,21 @@ class ApiTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
+  static ShardedEngineOptions Options(std::size_t batch_threads) {
+    ShardedEngineOptions options;
+    options.num_shards = 3;
+    options.max_candidate_items = 400;
+    options.batch_threads = batch_threads;
+    return options;
+  }
+
   /// A mixed 64-query batch: group sizes 2..7, all algorithms, several
   /// models/consensus functions and k values, all periods.
   static std::vector<Query> MixedBatch() {
     const auto participants =
         static_cast<UserId>(study_->num_participants());
     const auto num_periods =
-        static_cast<PeriodId>(engine_->recommender().num_periods());
+        static_cast<PeriodId>(engine_->num_periods());
     const AffinityModelSpec models[] = {
         AffinityModelSpec::Default(), AffinityModelSpec::Continuous(),
         AffinityModelSpec::TimeAgnostic(),
@@ -86,12 +92,12 @@ class ApiTest : public ::testing::Test {
 
   static SyntheticRatings* universe_;
   static FacebookStudy* study_;
-  static Engine* engine_;
+  static ShardedEngine* engine_;
 };
 
 SyntheticRatings* ApiTest::universe_ = nullptr;
 FacebookStudy* ApiTest::study_ = nullptr;
-Engine* ApiTest::engine_ = nullptr;
+ShardedEngine* ApiTest::engine_ = nullptr;
 
 TEST_F(ApiTest, BatchMatchesSequentialOn64Queries) {
   const std::vector<Query> batch = MixedBatch();
@@ -99,7 +105,7 @@ TEST_F(ApiTest, BatchMatchesSequentialOn64Queries) {
   const auto parallel = engine_->RecommendBatch(batch);
   ASSERT_EQ(parallel.size(), batch.size());
   for (std::size_t i = 0; i < batch.size(); ++i) {
-    const auto sequential = engine_->Recommend(batch[i]);
+    const auto sequential = engine_->Recommend(batch[i].group, batch[i].spec);
     ASSERT_TRUE(sequential.ok()) << "query " << i;
     ASSERT_TRUE(parallel[i].ok()) << "query " << i;
     EXPECT_EQ(parallel[i].value().items, sequential.value().items)
@@ -111,14 +117,8 @@ TEST_F(ApiTest, BatchMatchesSequentialOn64Queries) {
 
 TEST_F(ApiTest, BatchIsDeterministicAcrossThreadCounts) {
   const std::vector<Query> batch = MixedBatch();
-  EngineOptions two;
-  two.num_threads = 2;
-  EngineOptions five;
-  five.num_threads = 5;
-  const Engine engine2(engine_->recommender(), two);
-  const Engine engine5(engine_->recommender(), five);
-  EXPECT_EQ(engine2.num_threads(), 2u);
-  EXPECT_EQ(engine5.num_threads(), 5u);
+  const ShardedEngine engine2(universe_->dataset, *study_, Options(2));
+  const ShardedEngine engine5(universe_->dataset, *study_, Options(5));
   const auto r2 = engine2.RecommendBatch(batch);
   const auto r5 = engine5.RecommendBatch(batch);
   const auto r5b = engine5.RecommendBatch(batch);
@@ -131,8 +131,9 @@ TEST_F(ApiTest, BatchIsDeterministicAcrossThreadCounts) {
 }
 
 TEST_F(ApiTest, DefaultEngineUsesAtLeastTwoThreads) {
-  const Engine engine(engine_->recommender());
-  EXPECT_GE(engine.num_threads(), 2u);
+  // batch_threads = 0 (the default) sizes the engine's batch pool here.
+  EXPECT_GE(ResolveBatchThreads(0), 2u);
+  EXPECT_EQ(ResolveBatchThreads(5), 5u);
 }
 
 TEST_F(ApiTest, ValidationErrorsSurfaceAsStatus) {
@@ -185,7 +186,7 @@ TEST_F(ApiTest, ValidationErrorsSurfaceAsStatus) {
   // A valid build passes and runs.
   r = QueryBuilder(*engine_).Members({4, 17, 29}).TopK(5).Build();
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  const auto rec = engine_->Recommend(r.value());
+  const auto rec = engine_->Recommend(r.value().group, r.value().spec);
   ASSERT_TRUE(rec.ok());
   EXPECT_EQ(rec.value().items.size(), 5u);
 }
@@ -215,8 +216,10 @@ TEST_F(ApiTest, DuplicateMembersAreDeduplicatedByBuilder) {
   const auto distinct =
       QueryBuilder(*engine_).Members({17, 4, 29}).TopK(5).Build();
   ASSERT_TRUE(distinct.ok());
-  const auto a = engine_->Recommend(deduped.value());
-  const auto b = engine_->Recommend(distinct.value());
+  const auto a =
+      engine_->Recommend(deduped.value().group, deduped.value().spec);
+  const auto b =
+      engine_->Recommend(distinct.value().group, distinct.value().spec);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(a.value().items, b.value().items);
@@ -227,7 +230,7 @@ TEST_F(ApiTest, DuplicateMembersAreDeduplicatedByBuilder) {
   Query raw;
   raw.group = {4, 4, 7};
   raw.spec.k = 5;
-  const auto rejected = engine_->Recommend(raw);
+  const auto rejected = engine_->Recommend(raw.group, raw.spec);
   ASSERT_FALSE(rejected.ok());
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
@@ -256,10 +259,9 @@ TEST_F(ApiTest, WorkspaceReuseMatchesFreshExecution) {
   const std::vector<Query> batch = MixedBatch();
   QueryWorkspace workspace;
   for (std::size_t i = 0; i < 16; ++i) {
-    const auto reused = engine_->recommender().Recommend(
-        batch[i].group, batch[i].spec, &workspace);
-    const auto fresh =
-        engine_->recommender().Recommend(batch[i].group, batch[i].spec);
+    const auto reused =
+        engine_->Recommend(batch[i].group, batch[i].spec, &workspace);
+    const auto fresh = engine_->Recommend(batch[i].group, batch[i].spec);
     ASSERT_TRUE(reused.ok());
     ASSERT_TRUE(fresh.ok());
     EXPECT_EQ(reused.value().items, fresh.value().items) << "query " << i;
@@ -268,46 +270,38 @@ TEST_F(ApiTest, WorkspaceReuseMatchesFreshExecution) {
 }
 
 TEST_F(ApiTest, PluggableAffinitySourceSwapsCleanly) {
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  Engine engine(*universe_, *study_, options, eopts);
+  const testing::StudyTables tables(*study_);
+  ShardedEngine engine(universe_->dataset, *study_, Options(2));
 
   Query query;
   query.group = {4, 17, 29};
   query.spec.k = 5;
   query.spec.num_candidate_items = 400;
-  const auto baseline = engine.Recommend(query);
+  const auto baseline = engine.Recommend(query.group, query.spec);
   ASSERT_TRUE(baseline.ok());
 
-  // Null sources and swapping on a wrapping (non-owning) engine are
-  // rejected, not UB.
-  EXPECT_EQ(engine.set_affinity_source(nullptr).code(),
+  // Null sources are rejected, not UB.
+  EXPECT_EQ(engine.UpdateAffinitySource(nullptr).code(),
             StatusCode::kInvalidArgument);
-  Engine wrapping(engine.recommender());
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine.recommender().static_affinity(),
-      engine.recommender().periodic_affinity());
-  EXPECT_EQ(wrapping.set_affinity_source(base).code(),
-            StatusCode::kFailedPrecondition);
+  auto base = std::make_shared<StudyAffinitySource>(tables.static_counts,
+                                                    tables.periodic);
 
   // A decay-1 decorator over the study tables is the identity.
   ASSERT_TRUE(engine
-                  .set_affinity_source(
+                  .UpdateAffinitySource(
                       std::make_shared<DecayWeightedAffinitySource>(base, 1.0))
                   .ok());
-  const auto identity = engine.Recommend(query);
+  const auto identity = engine.Recommend(query.group, query.spec);
   ASSERT_TRUE(identity.ok());
   EXPECT_EQ(identity.value().items, baseline.value().items);
   EXPECT_EQ(identity.value().scores, baseline.value().scores);
 
   // A strongly decayed source still yields a full, valid top-k.
   ASSERT_TRUE(engine
-                  .set_affinity_source(
+                  .UpdateAffinitySource(
                       std::make_shared<DecayWeightedAffinitySource>(base, 0.2))
                   .ok());
-  const auto decayed = engine.Recommend(query);
+  const auto decayed = engine.Recommend(query.group, query.spec);
   ASSERT_TRUE(decayed.ok());
   EXPECT_EQ(decayed.value().items.size(), 5u);
   for (const double score : decayed.value().scores) {

@@ -7,15 +7,16 @@
 // Three levels:
 //  * ListView: randomized banded rows walked head-to-head against flat rows
 //    (merged order, counters, MaxScore/PeekScore/ScoreOfKey, cursor rewind);
-//  * facade: two GroupRecommenders differing only in RecommenderOptions::
+//  * facade: two ShardedEngines differing only in ShardedEngineOptions::
 //    index_layout, randomized groups/pools/specs, all algorithms — including
-//    after ApplyRatingUpdates rebuilds rows through CloneWithUpdatedRows;
+//    after ApplyUpdates rebuilds rows through CloneWithUpdatedPoolRows;
 //  * cost model: scan_footprint() of small-prefix views (the acceptance
 //    criterion the bench_batch layout sweep measures as qps).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "core/greca.h"
 #include "core/group_recommender.h"
+#include "shard/sharded_engine.h"
 #include "index/preference_index.h"
 #include "topk/list_view.h"
 #include "topk/naive.h"
@@ -323,8 +325,10 @@ class BandedFacadeTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
-  static RecommenderOptions Options(IndexLayout layout) {
-    RecommenderOptions options;
+  static ShardedEngineOptions Options(IndexLayout layout) {
+    ShardedEngineOptions options;
+    options.num_shards = 2;
+    options.batch_threads = 1;
     options.max_candidate_items = 240;
     options.index_layout = layout;
     options.min_band_size = 32;  // several bands even at this test scale
@@ -343,10 +347,20 @@ class BandedFacadeTest : public ::testing::Test {
     return group;
   }
 
-  /// Runs randomized queries against both recommenders and asserts
-  /// bit-identical recommendations and access counts.
-  static void ExpectEquivalentServing(const GroupRecommender& banded,
-                                      const GroupRecommender& flat,
+  static std::unique_ptr<ShardedEngine> MakeEngine(IndexLayout layout) {
+    return std::make_unique<ShardedEngine>(universe_->dataset, *study_,
+                                           Options(layout));
+  }
+
+  /// Any shard's index: every shard shares the pool and the band grid.
+  static const PreferenceIndex& Index(const ShardedEngine& engine) {
+    return *engine.shard(0).snapshot()->index;
+  }
+
+  /// Runs randomized queries against both engines and asserts bit-identical
+  /// recommendations and access counts.
+  static void ExpectEquivalentServing(const ShardedEngine& banded,
+                                      const ShardedEngine& flat,
                                       std::uint64_t seed,
                                       const std::string& phase) {
     Rng rng(seed);
@@ -357,7 +371,7 @@ class BandedFacadeTest : public ::testing::Test {
                                             AffinityModelSpec::TimeAgnostic()};
     const Algorithm algorithms[] = {Algorithm::kNaive, Algorithm::kTa,
                                     Algorithm::kGreca};
-    const std::size_t participants = banded.study().num_participants();
+    const std::size_t participants = banded.num_users();
     QueryWorkspace banded_ws, flat_ws;
 
     for (int trial = 0; trial < 12; ++trial) {
@@ -398,19 +412,20 @@ SyntheticRatings* BandedFacadeTest::universe_ = nullptr;
 FacebookStudy* BandedFacadeTest::study_ = nullptr;
 
 TEST_F(BandedFacadeTest, AllAlgorithmsBitIdenticalAcrossLayouts) {
-  const GroupRecommender banded(*universe_, *study_, Options(IndexLayout::kBanded));
-  const GroupRecommender flat(*universe_, *study_, Options(IndexLayout::kFlat));
-  EXPECT_GT(banded.preference_index().num_bands(), 1u);
-  EXPECT_EQ(flat.preference_index().num_bands(), 1u);
-  ExpectEquivalentServing(banded, flat, /*seed=*/41, "fresh");
+  const auto banded = MakeEngine(IndexLayout::kBanded);
+  const auto flat = MakeEngine(IndexLayout::kFlat);
+  EXPECT_GT(Index(*banded).num_bands(), 1u);
+  EXPECT_EQ(Index(*flat).num_bands(), 1u);
+  ExpectEquivalentServing(*banded, *flat, /*seed=*/41, "fresh");
 }
 
 TEST_F(BandedFacadeTest, EquivalenceSurvivesApplyUpdatesRowRebuilds) {
-  GroupRecommender banded(*universe_, *study_, Options(IndexLayout::kBanded));
-  GroupRecommender flat(*universe_, *study_, Options(IndexLayout::kFlat));
+  const auto banded = MakeEngine(IndexLayout::kBanded);
+  const auto flat = MakeEngine(IndexLayout::kFlat);
 
   // Same live-rating batches into both: touched rows rebuild through
-  // CloneWithUpdatedRows and must land in the same layout-specific order.
+  // CloneWithUpdatedPoolRows and must land in the same layout-specific
+  // order.
   Rng rng(77);
   const std::size_t participants = study_->num_participants();
   for (int batch = 0; batch < 3; ++batch) {
@@ -423,24 +438,25 @@ TEST_F(BandedFacadeTest, EquivalenceSurvivesApplyUpdatesRowRebuilds) {
       e.timestamp = 1'000'000 + batch * 1'000 + i;
       events.push_back(e);
     }
-    ASSERT_TRUE(banded.ApplyRatingUpdates(events).ok());
-    ASSERT_TRUE(flat.ApplyRatingUpdates(events).ok());
+    ASSERT_TRUE(banded->ApplyUpdates(events).ok());
+    ASSERT_TRUE(flat->ApplyUpdates(events).ok());
   }
-  EXPECT_GT(banded.snapshot()->generation(), 1u);
-  ExpectEquivalentServing(banded, flat, /*seed=*/43, "post-update");
+  EXPECT_GT(banded->shard(0).snapshot()->generation, 1u);
+  ExpectEquivalentServing(*banded, *flat, /*seed=*/43, "post-update");
 }
 
 TEST_F(BandedFacadeTest, SmallPrefixScanFootprintWithinTwiceThePrefix) {
-  const GroupRecommender banded(*universe_, *study_, Options(IndexLayout::kBanded));
-  const GroupRecommender flat(*universe_, *study_, Options(IndexLayout::kFlat));
-  const std::size_t row = banded.preference_index().pool_size();
+  const auto banded = MakeEngine(IndexLayout::kBanded);
+  const auto flat = MakeEngine(IndexLayout::kFlat);
+  const std::size_t row = banded->pool().size();
   const std::vector<UserId> group{1, 4, 9};
 
   QuerySpec spec;
   spec.num_candidate_items = row / 4;  // the small-pool workload (<= 25%)
   const GroupProblem banded_problem =
-      banded.BuildProblem(group, spec).value();
-  const GroupProblem flat_problem = flat.BuildProblem(group, spec).value();
+      banded->BuildProblem(banded->Pin(), group, spec).value();
+  const GroupProblem flat_problem =
+      flat->BuildProblem(flat->Pin(), group, spec).value();
   for (const ListView& view : banded_problem.preference_lists()) {
     EXPECT_LE(view.scan_footprint(), 2 * spec.num_candidate_items);
     EXPECT_GE(view.scan_footprint(), view.size());
@@ -451,7 +467,8 @@ TEST_F(BandedFacadeTest, SmallPrefixScanFootprintWithinTwiceThePrefix) {
 
   // Full-pool views cover the whole row in either layout.
   spec.num_candidate_items = row;
-  const GroupProblem full = banded.BuildProblem(group, spec).value();
+  const GroupProblem full =
+      banded->BuildProblem(banded->Pin(), group, spec).value();
   for (const ListView& view : full.preference_lists()) {
     EXPECT_EQ(view.scan_footprint(), row);
   }

@@ -1,22 +1,22 @@
 // Tests for the per-user delta log behind live updates: fold semantics
 // (latest-(timestamp, rating) wins, stale events counted but not applied),
 // group commit (concurrent ApplyUpdates callers coalesce into one
-// generation), the compaction policy, and the load-bearing equivalence — a
-// stream of event batches applied through the delta log must produce
-// BIT-IDENTICAL recommendations and PeriodListCache behavior to a full
-// re-fold, with or without compactions in between.
+// generation), the compaction policy (each shard folds only its own users),
+// and the load-bearing equivalence — a stream of event batches applied
+// through the delta log must produce BIT-IDENTICAL recommendations and
+// PeriodListCache behavior to a full re-fold, with or without compactions in
+// between.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "api/engine.h"
 #include "common/rng.h"
 #include "dataset/ratings_overlay.h"
+#include "shard/sharded_engine.h"
 
 namespace greca {
 namespace {
@@ -41,16 +41,45 @@ class DeltaLogTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
-  static RecommenderOptions BaseOptions() {
-    RecommenderOptions options;
+  /// One shard unless a test asks for more, so the shard's generation is
+  /// the engine's.
+  static ShardedEngineOptions BaseOptions(std::size_t shards = 1) {
+    ShardedEngineOptions options;
+    options.num_shards = shards;
     options.max_candidate_items = 380;
+    options.batch_threads = 2;
     return options;
   }
 
-  static std::unique_ptr<Engine> MakeEngine(const RecommenderOptions& options) {
-    EngineOptions eopts;
-    eopts.num_threads = 2;
-    return std::make_unique<Engine>(*universe_, *study_, options, eopts);
+  static std::unique_ptr<ShardedEngine> MakeEngine(
+      const ShardedEngineOptions& options,
+      const FacebookStudy* study = nullptr) {
+    return std::make_unique<ShardedEngine>(
+        universe_->dataset, study != nullptr ? *study : *study_, options);
+  }
+
+  static std::shared_ptr<const ShardSnapshot> Current(
+      const ShardedEngine& engine, std::size_t s = 0) {
+    return engine.shard(s).snapshot();
+  }
+
+  /// The study with every event folded into its ratings offline — the
+  /// ground truth a delta-log engine must match.
+  static FacebookStudy FoldedStudy(const std::vector<RatingEvent>& events) {
+    FacebookStudy folded = *study_;
+    std::vector<RatingRecord> records;
+    for (UserId u = 0; u < study_->num_participants(); ++u) {
+      for (const UserRatingEntry& e : study_->study_ratings.RatingsOfUser(u)) {
+        records.push_back({u, e.item, e.rating, e.timestamp});
+      }
+    }
+    for (const RatingEvent& e : events) {
+      records.push_back({e.user, e.item, e.rating, e.timestamp});
+    }
+    folded.study_ratings = RatingsDataset::FromRecords(
+        study_->num_participants(), universe_->dataset.num_items(),
+        std::move(records));
+    return folded;
   }
 
   /// A deterministic query mix covering all algorithms, models and periods.
@@ -103,13 +132,13 @@ class DeltaLogTest : public ::testing::Test {
     return events;
   }
 
-  /// Runs the mix sequentially against the engine's current snapshot.
-  static std::vector<Recommendation> RunMix(const Engine& engine,
+  /// Runs the mix sequentially against the engine's current set.
+  static std::vector<Recommendation> RunMix(const ShardedEngine& engine,
                                             const std::vector<Query>& mix) {
     std::vector<Recommendation> out;
-    const auto snap = engine.snapshot();
+    const auto set = engine.Pin();
     for (const Query& q : mix) {
-      auto r = engine.Recommend(q, snap);
+      auto r = engine.Recommend(set, q.group, q.spec);
       EXPECT_TRUE(r.ok()) << r.status().ToString();
       out.push_back(std::move(r.value()));
     }
@@ -206,14 +235,42 @@ TEST(RatingsOverlayTest, MergesAndCompactsLikeFromRecords) {
   }
 }
 
+// CompactUsers folds only the listed users; every other row is empty.
+TEST(RatingsOverlayTest, CompactUsersKeepsOnlyTheListedUsers) {
+  const std::vector<RatingRecord> base_records = {
+      {0, 1, 3.0, 100}, {1, 0, 2.0, 150}, {2, 4, 5.0, 50}, {3, 2, 1.0, 70}};
+  auto base = std::make_shared<const RatingsDataset>(
+      RatingsDataset::FromRecords(4, 5, base_records));
+  const auto overlay = RatingsOverlay(base).WithEvents(
+      std::vector<RatingRecord>{{2, 3, 4.0, 500}, {1, 0, 5.0, 600}});
+  const std::vector<UserId> owned = {0, 2};
+  const RatingsDataset own = overlay->CompactUsers(owned);
+  const RatingsDataset all = overlay->Compact();
+  EXPECT_EQ(own.num_users(), 4u);
+  EXPECT_EQ(own.num_items(), 5u);
+  for (UserId u = 0; u < 4; ++u) {
+    const bool listed = u == 0 || u == 2;
+    const auto lhs = own.RatingsOfUser(u);
+    const auto rhs = all.RatingsOfUser(u);
+    ASSERT_EQ(lhs.size(), listed ? rhs.size() : 0u) << "user " << u;
+    for (std::size_t i = 0; i < lhs.size(); ++i) {
+      EXPECT_EQ(lhs[i].item, rhs[i].item);
+      EXPECT_EQ(lhs[i].rating, rhs[i].rating);
+      EXPECT_EQ(lhs[i].timestamp, rhs[i].timestamp);
+    }
+  }
+  EXPECT_EQ(own.num_ratings(), 3u);  // (0,1), (2,3), (2,4)
+}
+
 // --- Report semantics (satellite regressions) ------------------------------
 
 TEST_F(DeltaLogTest, StaleEventsCountedSeparatelyAndPublishNothing) {
   auto engine = MakeEngine(BaseOptions());
 
-  UpdateReport report;
+  ShardedUpdateReport sharded;
+  const UpdateReport& report = sharded.total;
   const std::vector<RatingEvent> fresh = {{4, 7, 4.0, 2'000'000'000}};
-  ASSERT_TRUE(engine->ApplyUpdates(fresh, &report).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(fresh, &sharded).ok());
   EXPECT_EQ(report.events_applied, 1u);
   EXPECT_EQ(report.events_ignored_stale, 0u);
   EXPECT_EQ(report.published_generation, 2u);
@@ -224,34 +281,34 @@ TEST_F(DeltaLogTest, StaleEventsCountedSeparatelyAndPublishNothing) {
   // An older event for the same (user, item) is stale: counted, not applied,
   // and — since nothing changed — nothing publishes.
   const std::vector<RatingEvent> stale = {{4, 7, 5.0, 1'000'000'000}};
-  ASSERT_TRUE(engine->ApplyUpdates(stale, &report).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(stale, &sharded).ok());
   EXPECT_EQ(report.events_applied, 0u);
   EXPECT_EQ(report.events_ignored_stale, 1u);
   EXPECT_EQ(report.published_generation, 2u) << "carries the current gen";
   EXPECT_EQ(report.users_rebuilt, 0u);
-  EXPECT_EQ(engine->snapshot()->generation(), 2u) << "no state change";
-  EXPECT_EQ(engine->snapshot()->ratings().GetRating(4, 7),
+  EXPECT_EQ(Current(*engine)->generation, 2u) << "no state change";
+  EXPECT_EQ(Current(*engine)->ratings->GetRating(4, 7),
             std::make_optional(4.0));
 
   // Equal timestamp, higher rating wins (the FromRecords tie rule).
   const std::vector<RatingEvent> tie = {{4, 7, 5.0, 2'000'000'000}};
-  ASSERT_TRUE(engine->ApplyUpdates(tie, &report).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(tie, &sharded).ok());
   EXPECT_EQ(report.events_applied, 1u);
-  EXPECT_EQ(engine->snapshot()->generation(), 3u);
-  EXPECT_EQ(engine->snapshot()->ratings().GetRating(4, 7),
+  EXPECT_EQ(Current(*engine)->generation, 3u);
+  EXPECT_EQ(Current(*engine)->ratings->GetRating(4, 7),
             std::make_optional(5.0));
 
   // Redelivering the identical batch (at-least-once delivery) changes
   // nothing: stale, and no phantom generation.
-  ASSERT_TRUE(engine->ApplyUpdates(tie, &report).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(tie, &sharded).ok());
   EXPECT_EQ(report.events_applied, 0u);
   EXPECT_EQ(report.events_ignored_stale, 1u);
-  EXPECT_EQ(engine->snapshot()->generation(), 3u);
+  EXPECT_EQ(Current(*engine)->generation, 3u);
 
   // A mixed batch publishes, with exact attribution.
   const std::vector<RatingEvent> mixed = {{4, 7, 1.0, 10},  // stale
                                           {9, 3, 2.0, 2'000'000'001}};
-  ASSERT_TRUE(engine->ApplyUpdates(mixed, &report).ok());
+  ASSERT_TRUE(engine->ApplyUpdates(mixed, &sharded).ok());
   EXPECT_EQ(report.events_applied, 1u);
   EXPECT_EQ(report.events_ignored_stale, 1u);
   EXPECT_EQ(report.users_rebuilt, 1u) << "stale-only users are not rebuilt";
@@ -262,17 +319,18 @@ TEST_F(DeltaLogTest, EmptyBatchReportsCurrentGeneration) {
   auto engine = MakeEngine(BaseOptions());
   const std::vector<RatingEvent> one = {{2, 5, 3.0, 2'000'000'000}};
   ASSERT_TRUE(engine->ApplyUpdates(one).ok());
-  ASSERT_EQ(engine->snapshot()->generation(), 2u);
+  ASSERT_EQ(Current(*engine)->generation, 2u);
 
-  UpdateReport report;
-  ASSERT_TRUE(engine->ApplyUpdates({}, &report).ok());
+  ShardedUpdateReport sharded;
+  ASSERT_TRUE(engine->ApplyUpdates({}, &sharded).ok());
+  const UpdateReport& report = sharded.total;
   EXPECT_EQ(report.events_applied, 0u);
   EXPECT_EQ(report.events_ignored_stale, 0u);
   EXPECT_EQ(report.published_generation, 2u)
       << "an empty batch must be distinguishable from 'never published'";
   EXPECT_EQ(report.delta_log_ratings, 1u)
       << "the report carries the resident log size, not a zeroed field";
-  EXPECT_EQ(engine->snapshot()->generation(), 2u);
+  EXPECT_EQ(Current(*engine)->generation, 2u);
 }
 
 // --- The tentpole equivalence ----------------------------------------------
@@ -283,13 +341,13 @@ TEST_F(DeltaLogTest, EmptyBatchReportsCurrentGeneration) {
 // counters. Finally the delta-log engine must match a FRESH engine built
 // over the offline fold of all events.
 TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
-  RecommenderOptions pure = BaseOptions();  // delta log only, never compacts
+  ShardedEngineOptions pure = BaseOptions();  // delta log only, never compacts
   pure.compact_every_n_publishes = 0;
   pure.compact_delta_fraction = 0.0;
-  RecommenderOptions refold = BaseOptions();  // compacts on every publish
+  ShardedEngineOptions refold = BaseOptions();  // compacts on every publish
   refold.compact_every_n_publishes = 1;
   refold.compact_delta_fraction = 0.0;
-  RecommenderOptions periodic = BaseOptions();  // forced compaction cadence
+  ShardedEngineOptions periodic = BaseOptions();  // forced compaction cadence
   periodic.compact_every_n_publishes = 3;
   periodic.compact_delta_fraction = 0.0;
 
@@ -303,10 +361,13 @@ TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
     const std::vector<RatingEvent> events = RandomEvents(24, 900 + batch);
     all_events.insert(all_events.end(), events.begin(), events.end());
 
-    UpdateReport rp, rr, rc;
-    ASSERT_TRUE(engine_pure->ApplyUpdates(events, &rp).ok());
-    ASSERT_TRUE(engine_refold->ApplyUpdates(events, &rr).ok());
-    ASSERT_TRUE(engine_periodic->ApplyUpdates(events, &rc).ok());
+    ShardedUpdateReport sp, sr, sc;
+    ASSERT_TRUE(engine_pure->ApplyUpdates(events, &sp).ok());
+    ASSERT_TRUE(engine_refold->ApplyUpdates(events, &sr).ok());
+    ASSERT_TRUE(engine_periodic->ApplyUpdates(events, &sc).ok());
+    const UpdateReport& rp = sp.total;
+    const UpdateReport& rr = sr.total;
+    const UpdateReport& rc = sc.total;
 
     // Attribution is identical on every path (it precedes compaction).
     EXPECT_EQ(rp.events_applied, rr.events_applied) << "batch " << batch;
@@ -331,87 +392,132 @@ TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
   }
 
   // The periodic engine really did compact mid-stream.
-  EXPECT_LT(engine_periodic->snapshot()->ratings().delta_ratings(),
-            engine_pure->snapshot()->ratings().delta_ratings());
+  EXPECT_LT(Current(*engine_periodic)->ratings->delta_ratings(),
+            Current(*engine_pure)->ratings->delta_ratings());
 
   // Identical query sequences produced identical period-cache behavior —
   // the cache carries across delta publishes AND compactions.
-  const auto& sp = *engine_pure->snapshot();
-  const auto& sr = *engine_refold->snapshot();
-  const auto& sc = *engine_periodic->snapshot();
-  EXPECT_EQ(sp.period_cache_hits(), sr.period_cache_hits());
-  EXPECT_EQ(sp.period_cache_misses(), sr.period_cache_misses());
-  EXPECT_EQ(sp.period_cache_size(), sr.period_cache_size());
-  EXPECT_EQ(sp.period_cache_hits(), sc.period_cache_hits());
-  EXPECT_EQ(sp.period_cache_misses(), sc.period_cache_misses());
-  EXPECT_EQ(sp.period_cache_size(), sc.period_cache_size());
+  const PeriodListCache& cp = engine_pure->Pin()->period_cache();
+  const PeriodListCache& cr = engine_refold->Pin()->period_cache();
+  const PeriodListCache& cc = engine_periodic->Pin()->period_cache();
+  EXPECT_EQ(cp.hits(), cr.hits());
+  EXPECT_EQ(cp.misses(), cr.misses());
+  EXPECT_EQ(cp.size(), cr.size());
+  EXPECT_EQ(cp.hits(), cc.hits());
+  EXPECT_EQ(cp.misses(), cc.misses());
+  EXPECT_EQ(cp.size(), cc.size());
 
   // Ground truth: a fresh engine over the offline fold of every event sees
   // the exact same world as the delta-log engine that never compacted.
-  FacebookStudy folded = *study_;
-  std::vector<RatingRecord> records;
-  for (UserId u = 0; u < study_->num_participants(); ++u) {
-    for (const UserRatingEntry& e : study_->study_ratings.RatingsOfUser(u)) {
-      records.push_back({u, e.item, e.rating, e.timestamp});
-    }
-  }
-  for (const RatingEvent& e : all_events) {
-    records.push_back({e.user, e.item, e.rating, e.timestamp});
-  }
-  folded.study_ratings = RatingsDataset::FromRecords(
-      study_->num_participants(), universe_->dataset.num_items(),
-      std::move(records));
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  const Engine oracle(universe_->dataset, folded, BaseOptions(), eopts);
-  ExpectSameRecommendations(RunMix(*engine_pure, mix), RunMix(oracle, mix),
+  const FacebookStudy folded = FoldedStudy(all_events);
+  const auto oracle = MakeEngine(BaseOptions(), &folded);
+  ExpectSameRecommendations(RunMix(*engine_pure, mix), RunMix(*oracle, mix),
                             "delta-vs-fresh-fold");
 }
 
-// --- Parallel touched-row rebuild ------------------------------------------
+// --- Shard-scoped compaction -----------------------------------------------
 
-// ApplyRatingUpdates with update_threads > 0 fans the per-row CF predict +
-// index re-sort over an internal pool. Rows are independent, so the
-// published snapshots must be BIT-IDENTICAL to the serial path: same
-// predictions, same index rows, same recommendations, same reports.
-TEST_F(DeltaLogTest, ParallelRebuildMatchesSerialBitForBit) {
-  RecommenderOptions serial = BaseOptions();
-  serial.update_threads = 0;
-  RecommenderOptions parallel = BaseOptions();
-  parallel.update_threads = 3;
-
-  auto engine_serial = MakeEngine(serial);
-  auto engine_parallel = MakeEngine(parallel);
+// A forced compaction folds only the shard's own users: the shard's new base
+// holds exactly its owned users' merged ratings (every other row empty), and
+// recommendations stay bit-identical to an engine that never compacts and to
+// a fresh engine built from the folded log.
+TEST_F(DeltaLogTest, CompactionFoldsOnlyTheShardsOwnUsers) {
+  ShardedEngineOptions compacting = BaseOptions(/*shards=*/3);
+  compacting.compact_every_n_publishes = 1;
+  compacting.compact_delta_fraction = 0.0;
+  ShardedEngineOptions never = BaseOptions(/*shards=*/3);
+  never.compact_every_n_publishes = 0;
+  never.compact_delta_fraction = 0.0;
+  auto engine = MakeEngine(compacting);
+  auto reference = MakeEngine(never);
   const std::vector<Query> mix = QueryMix();
 
-  for (std::uint64_t batch = 0; batch < 5; ++batch) {
-    // Wide batches so every round rebuilds many rows (the parallel path
-    // only engages past one touched row).
-    const std::vector<RatingEvent> events = RandomEvents(48, 6'200 + batch);
-    UpdateReport rs, rp;
-    ASSERT_TRUE(engine_serial->ApplyUpdates(events, &rs).ok());
-    ASSERT_TRUE(engine_parallel->ApplyUpdates(events, &rp).ok());
-    EXPECT_EQ(rs.events_applied, rp.events_applied) << "batch " << batch;
-    EXPECT_EQ(rs.events_ignored_stale, rp.events_ignored_stale);
-    EXPECT_EQ(rs.users_rebuilt, rp.users_rebuilt);
-    EXPECT_EQ(rs.published_generation, rp.published_generation);
-    EXPECT_EQ(rs.delta_log_ratings, rp.delta_log_ratings);
-
-    // Snapshot-level bit-identity: every touched user's full prediction row.
-    const auto ss = engine_serial->snapshot();
-    const auto sp = engine_parallel->snapshot();
-    for (const RatingEvent& e : events) {
-      const auto a = ss->predictions(e.user);
-      const auto b = sp->predictions(e.user);
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t i = 0; i < a.size(); ++i) {
-        ASSERT_EQ(a[i], b[i]) << "user " << e.user << " item " << i;
+  std::vector<RatingEvent> all_events;
+  for (std::uint64_t batch = 0; batch < 3; ++batch) {
+    const std::vector<RatingEvent> events = RandomEvents(30, 7'100 + batch);
+    all_events.insert(all_events.end(), events.begin(), events.end());
+    ShardedUpdateReport report;
+    ASSERT_TRUE(engine->ApplyUpdates(events, &report).ok());
+    ASSERT_TRUE(reference->ApplyUpdates(events).ok());
+    for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+      if (report.per_shard[s].events_applied > 0) {
+        EXPECT_TRUE(report.per_shard[s].compacted) << "shard " << s;
       }
     }
-    ExpectSameRecommendations(RunMix(*engine_serial, mix),
-                              RunMix(*engine_parallel, mix),
-                              "serial-vs-parallel-rebuild");
+    ExpectSameRecommendations(RunMix(*engine, mix), RunMix(*reference, mix),
+                              "compacted-vs-never");
   }
+
+  const FacebookStudy folded = FoldedStudy(all_events);
+  for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+    const Shard& shard = engine->shard(s);
+    const RatingsDataset& base = Current(*engine, s)->ratings->base();
+    ASSERT_EQ(Current(*engine, s)->ratings->delta_ratings(), 0u);
+    ASSERT_EQ(base.num_users(), study_->num_participants());
+    std::size_t owned_ratings = 0;
+    for (UserId u = 0; u < study_->num_participants(); ++u) {
+      const auto row = base.RatingsOfUser(u);
+      if (!shard.Owns(u)) {
+        EXPECT_TRUE(row.empty()) << "shard " << s << " holds user " << u;
+        continue;
+      }
+      const auto truth = folded.study_ratings.RatingsOfUser(u);
+      ASSERT_EQ(row.size(), truth.size()) << "user " << u;
+      for (std::size_t i = 0; i < row.size(); ++i) {
+        EXPECT_EQ(row[i].item, truth[i].item);
+        EXPECT_EQ(row[i].rating, truth[i].rating);
+        EXPECT_EQ(row[i].timestamp, truth[i].timestamp);
+      }
+      owned_ratings += truth.size();
+    }
+    EXPECT_EQ(base.num_ratings(), owned_ratings) << "shard " << s;
+  }
+  const auto oracle = MakeEngine(BaseOptions(/*shards=*/3), &folded);
+  ExpectSameRecommendations(RunMix(*engine, mix), RunMix(*oracle, mix),
+                            "compacted-vs-fresh-fold");
+}
+
+// The size trigger compares a shard's delta log with its OWN users' base
+// ratings, before and after its first compaction alike. The fraction below
+// fires against one shard's share of the ratings but would stay silent
+// against the whole population's.
+TEST_F(DeltaLogTest, CompactionFractionCountsTheShardsOwnRatings) {
+  constexpr std::size_t kShards = 4;
+  ShardedEngineOptions options = BaseOptions(kShards);
+  options.compact_every_n_publishes = 0;
+  auto probe = MakeEngine(options);
+  const std::size_t population = study_->study_ratings.num_ratings();
+  std::size_t own = 0;
+  for (const UserId u : probe->shard(0).users()) {
+    own += study_->study_ratings.RatingsOfUser(u).size();
+  }
+  ASSERT_LT(2 * own, population);
+
+  // Fresh pairs for one shard-0 user: each event grows the log by one.
+  const UserId writer = probe->shard(0).users().front();
+  std::vector<RatingEvent> events;
+  for (ItemId item = 0; events.size() < 8; ++item) {
+    if (!study_->study_ratings.HasRating(writer, item)) {
+      events.push_back({writer, item, 3.0, 2'000'000'000 + item});
+    }
+  }
+  // delta / own crosses the fraction; delta / population does not.
+  options.compact_delta_fraction =
+      static_cast<double>(events.size()) / (1.5 * static_cast<double>(own));
+  ASSERT_LE(static_cast<double>(events.size()),
+            options.compact_delta_fraction * static_cast<double>(population));
+  auto engine = MakeEngine(options);
+  ShardedUpdateReport report;
+  ASSERT_TRUE(engine->ApplyUpdates(events, &report).ok());
+  EXPECT_TRUE(report.per_shard[0].compacted);
+
+  // After the fold the base holds only shard 0's ratings; one more event is
+  // far below the fraction of that base and does not compact again.
+  const std::vector<RatingEvent> one = {
+      {writer, events.front().item, 5.0, 3'000'000'000}};
+  ASSERT_TRUE(engine->ApplyUpdates(one, &report).ok());
+  EXPECT_EQ(report.per_shard[0].events_applied, 1u);
+  EXPECT_FALSE(report.per_shard[0].compacted);
 }
 
 // --- Group commit ----------------------------------------------------------
@@ -428,6 +534,7 @@ TEST_F(DeltaLogTest, ConcurrentCallersGroupCommit) {
   constexpr std::size_t kEvents = 8;
 
   std::vector<std::vector<std::vector<RatingEvent>>> batches(kThreads);
+  std::vector<RatingEvent> all_events;
   for (std::size_t t = 0; t < kThreads; ++t) {
     Rng rng(3'000 + t);
     batches[t].resize(kBatches);
@@ -442,12 +549,13 @@ TEST_F(DeltaLogTest, ConcurrentCallersGroupCommit) {
         e.timestamp = static_cast<Timestamp>(
             2'000'000'000 + ((t * kBatches + b) * kEvents + i));
         batches[t][b].push_back(e);
+        all_events.push_back(e);
       }
     }
   }
 
-  std::vector<std::vector<UpdateReport>> reports(
-      kThreads, std::vector<UpdateReport>(kBatches));
+  std::vector<std::vector<ShardedUpdateReport>> reports(
+      kThreads, std::vector<ShardedUpdateReport>(kBatches));
   std::vector<std::thread> writers;
   for (std::size_t t = 0; t < kThreads; ++t) {
     writers.emplace_back([&, t] {
@@ -459,12 +567,13 @@ TEST_F(DeltaLogTest, ConcurrentCallersGroupCommit) {
   }
   for (auto& w : writers) w.join();
 
-  const std::uint64_t final_generation = engine->snapshot()->generation();
+  const std::uint64_t final_generation = Current(*engine)->generation;
   EXPECT_GE(final_generation, 2u);
   EXPECT_LE(final_generation, 1u + kThreads * kBatches);
   std::size_t total_accounted = 0;
   for (const auto& per_thread : reports) {
-    for (const UpdateReport& r : per_thread) {
+    for (const ShardedUpdateReport& sharded : per_thread) {
+      const UpdateReport& r = sharded.total;
       EXPECT_GE(r.published_generation, 2u);
       EXPECT_LE(r.published_generation, final_generation);
       EXPECT_GE(r.batches_coalesced, 1u);
@@ -476,30 +585,12 @@ TEST_F(DeltaLogTest, ConcurrentCallersGroupCommit) {
 
   // Final state oracle: fold base + every event offline; every touched pair
   // must read back the same rating through the merged view.
-  std::vector<RatingRecord> records;
-  for (UserId u = 0; u < study_->num_participants(); ++u) {
-    for (const UserRatingEntry& e : study_->study_ratings.RatingsOfUser(u)) {
-      records.push_back({u, e.item, e.rating, e.timestamp});
-    }
-  }
-  std::map<std::pair<UserId, ItemId>, int> touched_pairs;
-  for (const auto& per_thread : batches) {
-    for (const auto& batch : per_thread) {
-      for (const RatingEvent& e : batch) {
-        records.push_back({e.user, e.item, e.rating, e.timestamp});
-        touched_pairs[{e.user, e.item}] = 1;
-      }
-    }
-  }
-  const RatingsDataset folded = RatingsDataset::FromRecords(
-      study_->num_participants(), universe_->dataset.num_items(),
-      std::move(records));
-  const RatingsOverlay& live = engine->snapshot()->ratings();
-  for (const auto& [pair, unused] : touched_pairs) {
-    (void)unused;
-    EXPECT_EQ(live.GetRating(pair.first, pair.second),
-              folded.GetRating(pair.first, pair.second))
-        << "pair (" << pair.first << ", " << pair.second << ")";
+  const FacebookStudy folded = FoldedStudy(all_events);
+  const RatingsOverlay& live = *Current(*engine)->ratings;
+  for (const RatingEvent& e : all_events) {
+    EXPECT_EQ(live.GetRating(e.user, e.item),
+              folded.study_ratings.GetRating(e.user, e.item))
+        << "pair (" << e.user << ", " << e.item << ")";
   }
 
   // Serving still works on the coalesced result.
@@ -511,42 +602,42 @@ TEST_F(DeltaLogTest, ConcurrentCallersGroupCommit) {
 // --- Compaction policy -----------------------------------------------------
 
 TEST_F(DeltaLogTest, CompactionCadenceAndPinnedSnapshots) {
-  RecommenderOptions options = BaseOptions();
+  ShardedEngineOptions options = BaseOptions();
   options.compact_every_n_publishes = 2;
   options.compact_delta_fraction = 0.0;
   auto engine = MakeEngine(options);
   const std::vector<Query> mix = QueryMix();
 
-  const auto pinned = engine->snapshot();
+  const auto pinned = engine->Pin();
   const auto before = RunMix(*engine, mix);
 
   bool saw_compaction = false;
   for (std::uint64_t batch = 0; batch < 4; ++batch) {
-    UpdateReport report;
+    ShardedUpdateReport report;
     ASSERT_TRUE(
         engine->ApplyUpdates(RandomEvents(16, 4'000 + batch), &report).ok());
     // Every 2nd rating publish folds the log into a fresh base.
-    EXPECT_EQ(report.compacted, batch % 2 == 1) << "batch " << batch;
-    if (report.compacted) {
+    EXPECT_EQ(report.total.compacted, batch % 2 == 1) << "batch " << batch;
+    if (report.total.compacted) {
       saw_compaction = true;
-      EXPECT_EQ(report.delta_log_ratings, 0u);
+      EXPECT_EQ(report.total.delta_log_ratings, 0u);
     }
   }
   ASSERT_TRUE(saw_compaction);
 
-  // Pinned pre-compaction snapshots replay bit-identically: compaction must
-  // never mutate retired generations.
+  // Pinned pre-compaction sets replay bit-identically: compaction must never
+  // mutate retired generations.
   std::vector<Recommendation> replay;
   for (const Query& q : mix) {
-    auto r = engine->Recommend(q, pinned);
+    auto r = engine->Recommend(pinned, q.group, q.spec);
     ASSERT_TRUE(r.ok());
     replay.push_back(std::move(r.value()));
   }
   ExpectSameRecommendations(before, replay, "pinned-across-compactions");
 
   // The compacted base subsumed the log: merged reads keep working.
-  EXPECT_EQ(engine->snapshot()->ratings().base().num_ratings(),
-            engine->snapshot()->ratings().num_ratings());
+  EXPECT_EQ(Current(*engine)->ratings->base().num_ratings(),
+            Current(*engine)->ratings->num_ratings());
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "eval/experiments.h"
 #include "eval/satisfaction.h"
 #include "eval/study_groups.h"
+#include "shard/sharded_engine.h"
 
 namespace greca {
 namespace {
@@ -25,33 +26,39 @@ class EvalTest : public ::testing::Test {
     sc.diversity_pool = 200;
     study_ = new FacebookStudy(GenerateFacebookStudy(sc, *universe_));
 
-    RecommenderOptions options;
+    ShardedEngineOptions options;
+    options.num_shards = 2;
     options.max_candidate_items = 300;
-    recommender_ = new GroupRecommender(*universe_, *study_, options);
+    options.batch_threads = 1;
+    engine_ = new ShardedEngine(universe_->dataset, *study_, options);
 
     oracle_ = new SatisfactionOracle(universe_->truth, study_->like_truth,
                                      study_->universe_user, OracleWeights{});
   }
   static void TearDownTestSuite() {
     delete oracle_;
-    delete recommender_;
+    delete engine_;
     delete study_;
     delete universe_;
     oracle_ = nullptr;
-    recommender_ = nullptr;
+    engine_ = nullptr;
     study_ = nullptr;
     universe_ = nullptr;
   }
 
   static SyntheticRatings* universe_;
   static FacebookStudy* study_;
-  static GroupRecommender* recommender_;
+  static std::vector<StudyGroup> StudyGroups() {
+    return FormStudyGroups(*study_, engine_->affinity());
+  }
+
+  static ShardedEngine* engine_;
   static SatisfactionOracle* oracle_;
 };
 
 SyntheticRatings* EvalTest::universe_ = nullptr;
 FacebookStudy* EvalTest::study_ = nullptr;
-GroupRecommender* EvalTest::recommender_ = nullptr;
+ShardedEngine* EvalTest::engine_ = nullptr;
 SatisfactionOracle* EvalTest::oracle_ = nullptr;
 
 TEST_F(EvalTest, ItemSatisfactionInUnitInterval) {
@@ -84,7 +91,7 @@ TEST_F(EvalTest, PreferenceShareIsComplementary) {
   const Group group{0, 1, 2, 4, 5};
   const std::vector<ItemId> l1{0, 1, 2};
   const std::vector<ItemId> l2{10, 11, 12};
-  const auto last = static_cast<PeriodId>(recommender_->num_periods() - 1);
+  const auto last = static_cast<PeriodId>(engine_->num_periods() - 1);
   const double p12 = oracle_->PreferenceSharePercent(group, l1, l2, last);
   const double p21 = oracle_->PreferenceSharePercent(group, l2, l1, last);
   EXPECT_NEAR(p12 + p21, 100.0, 1e-9);
@@ -104,7 +111,7 @@ TEST_F(EvalTest, VoteSharesSumToHundred) {
 }
 
 TEST_F(EvalTest, StudyGroupsCoverAllCombinations) {
-  const auto groups = FormStudyGroups(*recommender_);
+  const auto groups = StudyGroups();
   ASSERT_EQ(groups.size(), 8u);
   std::size_t small = 0, similar = 0, high = 0;
   for (const StudyGroup& g : groups) {
@@ -119,7 +126,7 @@ TEST_F(EvalTest, StudyGroupsCoverAllCombinations) {
 }
 
 TEST_F(EvalTest, StudyGroupsRespectFormationObjectives) {
-  const auto groups = FormStudyGroups(*recommender_);
+  const auto groups = StudyGroups();
   // Aggregate over matched pairs of specs: similar >= dissimilar cohesion,
   // high-affinity >= low-affinity weakest link.
   for (std::size_t i = 0; i < groups.size(); ++i) {
@@ -151,8 +158,8 @@ TEST_F(EvalTest, CharacteristicBucketsPartitionPairs) {
 }
 
 TEST_F(EvalTest, QualityHarnessProducesBuckets) {
-  QualityHarness harness(*recommender_, *oracle_,
-                         FormStudyGroups(*recommender_), /*k=*/5);
+  QualityHarness harness(*engine_, *oracle_,
+                         StudyGroups(), /*k=*/5);
   const auto scores = harness.IndependentEval(RecommendationVariant::Default());
   ASSERT_EQ(scores.size(), kNumCharacteristics);
   for (const double s : scores) {
@@ -162,15 +169,15 @@ TEST_F(EvalTest, QualityHarnessProducesBuckets) {
 }
 
 TEST_F(EvalTest, ComparativeEvalAgainstSelfIsFifty) {
-  QualityHarness harness(*recommender_, *oracle_,
-                         FormStudyGroups(*recommender_), 5);
+  QualityHarness harness(*engine_, *oracle_,
+                         StudyGroups(), 5);
   const auto shares = harness.ComparativeEval(
       RecommendationVariant::Default(), RecommendationVariant::Default());
   for (const double s : shares) EXPECT_NEAR(s, 50.0, 1e-9);
 }
 
 TEST_F(EvalTest, PerformanceHarnessMeasuresSaveup) {
-  PerformanceHarness perf(*recommender_, 77);
+  PerformanceHarness perf(*engine_, 77);
   QuerySpec spec = PerformanceHarness::DefaultSpec();
   spec.num_candidate_items = 300;
   spec.k = 5;
@@ -182,7 +189,7 @@ TEST_F(EvalTest, PerformanceHarnessMeasuresSaveup) {
 }
 
 TEST_F(EvalTest, RandomGroupsDeterministicAndValid) {
-  PerformanceHarness perf(*recommender_, 123);
+  PerformanceHarness perf(*engine_, 123);
   const auto a = perf.RandomGroups(5, 6);
   const auto b = perf.RandomGroups(5, 6);
   ASSERT_EQ(a.size(), 5u);

@@ -30,6 +30,8 @@ class FormationPipelineTest : public ::testing::Test {
     ScaleRatingsConfig sc;
     sc.num_users = 2'000;
     sc.num_items = 400;
+    // The generator requires max_ratings_per_user <= num_items (asserted).
+    sc.max_ratings_per_user = sc.num_items;
     sc.seed = 33;
     scale_ = new SyntheticRatings(GenerateScaleRatings(sc));
   }

@@ -1,11 +1,13 @@
 // End-to-end integration tests: the full pipeline from synthetic data through
-// the GroupRecommender facade, cross-checking all three algorithms.
+// the serving engine, cross-checking all three algorithms.
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "core/group_recommender.h"
+#include "core/problem_assembly.h"
 #include "eval/experiments.h"
+#include "eval/study_groups.h"
+#include "shard/sharded_engine.h"
 
 namespace greca {
 namespace {
@@ -22,27 +24,35 @@ class IntegrationTest : public ::testing::Test {
     FacebookStudyConfig sc;
     sc.diversity_pool = 200;
     study_ = new FacebookStudy(GenerateFacebookStudy(sc, *universe_));
-    RecommenderOptions options;
+    ShardedEngineOptions options;
+    options.num_shards = 2;
     options.max_candidate_items = 400;
-    recommender_ = new GroupRecommender(*universe_, *study_, options);
+    options.batch_threads = 1;
+    engine_ = new ShardedEngine(universe_->dataset, *study_, options);
   }
   static void TearDownTestSuite() {
-    delete recommender_;
+    delete engine_;
     delete study_;
     delete universe_;
-    recommender_ = nullptr;
+    engine_ = nullptr;
     study_ = nullptr;
     universe_ = nullptr;
   }
 
   static SyntheticRatings* universe_;
   static FacebookStudy* study_;
-  static GroupRecommender* recommender_;
+  static GroupProblem Build(const Group& group, const QuerySpec& spec,
+                            std::vector<ItemId>* candidates = nullptr) {
+    return engine_->BuildProblem(engine_->Pin(), group, spec, candidates)
+        .value();
+  }
+
+  static ShardedEngine* engine_;
 };
 
 SyntheticRatings* IntegrationTest::universe_ = nullptr;
 FacebookStudy* IntegrationTest::study_ = nullptr;
-GroupRecommender* IntegrationTest::recommender_ = nullptr;
+ShardedEngine* IntegrationTest::engine_ = nullptr;
 
 QuerySpec BaseSpec(std::size_t items = 400) {
   QuerySpec spec;
@@ -60,9 +70,9 @@ TEST_F(IntegrationTest, GrecaMatchesNaiveThroughFacade) {
     QuerySpec spec = BaseSpec();
     spec.model = model;
     spec.algorithm = Algorithm::kGreca;
-    const Recommendation greca = recommender_->Recommend(group, spec).value();
+    const Recommendation greca = engine_->Recommend(group, spec).value();
     spec.algorithm = Algorithm::kNaive;
-    const Recommendation naive = recommender_->Recommend(group, spec).value();
+    const Recommendation naive = engine_->Recommend(group, spec).value();
     ASSERT_EQ(greca.items.size(), naive.items.size()) << model.Name();
     const std::set<ItemId> gs(greca.items.begin(), greca.items.end());
     const std::set<ItemId> ns(naive.items.begin(), naive.items.end());
@@ -74,9 +84,9 @@ TEST_F(IntegrationTest, TaMatchesNaiveThroughFacade) {
   const Group group{1, 5, 23};
   QuerySpec spec = BaseSpec();
   spec.algorithm = Algorithm::kTa;
-  const Recommendation ta = recommender_->Recommend(group, spec).value();
+  const Recommendation ta = engine_->Recommend(group, spec).value();
   spec.algorithm = Algorithm::kNaive;
-  const Recommendation naive = recommender_->Recommend(group, spec).value();
+  const Recommendation naive = engine_->Recommend(group, spec).value();
   const std::set<ItemId> ts(ta.items.begin(), ta.items.end());
   const std::set<ItemId> ns(naive.items.begin(), naive.items.end());
   EXPECT_EQ(ts, ns);
@@ -84,7 +94,7 @@ TEST_F(IntegrationTest, TaMatchesNaiveThroughFacade) {
 
 TEST_F(IntegrationTest, ExcludesItemsRatedByMembers) {
   const Group group{0, 1};
-  const Recommendation rec = recommender_->Recommend(group, BaseSpec()).value();
+  const Recommendation rec = engine_->Recommend(group, BaseSpec()).value();
   for (const ItemId item : rec.items) {
     EXPECT_FALSE(study_->study_ratings.HasRating(0, item));
     EXPECT_FALSE(study_->study_ratings.HasRating(1, item));
@@ -92,7 +102,7 @@ TEST_F(IntegrationTest, ExcludesItemsRatedByMembers) {
 }
 
 TEST_F(IntegrationTest, GrecaSavesAccesses) {
-  PerformanceHarness perf(*recommender_, 7);
+  PerformanceHarness perf(*engine_, 7);
   QuerySpec spec = BaseSpec();
   const auto groups = perf.RandomGroups(5, 6);
   const auto m = perf.Measure(groups, spec);
@@ -104,14 +114,14 @@ TEST_F(IntegrationTest, EvalPeriodControlsPeriodListCount) {
   const Group group{3, 9, 15};
   QuerySpec spec = BaseSpec();
   spec.eval_period = 0;
-  const GroupProblem p0 = recommender_->BuildProblem(group, spec).value();
+  const GroupProblem p0 = Build(group, spec);
   EXPECT_EQ(p0.num_periods(), 1u);
   spec.eval_period = std::nullopt;
-  const GroupProblem pl = recommender_->BuildProblem(group, spec).value();
-  EXPECT_EQ(pl.num_periods(), recommender_->num_periods());
+  const GroupProblem pl = Build(group, spec);
+  EXPECT_EQ(pl.num_periods(), engine_->num_periods());
   // Time-agnostic problems carry no period lists.
   spec.model = AffinityModelSpec::TimeAgnostic();
-  const GroupProblem pt = recommender_->BuildProblem(group, spec).value();
+  const GroupProblem pt = Build(group, spec);
   EXPECT_EQ(pt.num_periods(), 0u);
 }
 
@@ -119,7 +129,7 @@ TEST_F(IntegrationTest, CandidatePoolSizeControlsProblemSize) {
   const Group group{3, 9, 15};
   QuerySpec spec = BaseSpec(100);
   std::vector<ItemId> candidates;
-  const GroupProblem p = recommender_->BuildProblem(group, spec, &candidates).value();
+  const GroupProblem p = Build(group, spec, &candidates);
   EXPECT_LE(p.num_items(), 100u);
   EXPECT_EQ(p.num_items(), candidates.size());
   // Tombstoning the group's rated items shrinks the live set, never the key
@@ -134,15 +144,15 @@ TEST_F(IntegrationTest, CandidatePoolSizeControlsProblemSize) {
 
 TEST_F(IntegrationTest, RecommendationsDifferAcrossModels) {
   // Affinity must actually change outcomes for at least some groups.
-  PerformanceHarness perf(*recommender_, 11);
+  PerformanceHarness perf(*engine_, 11);
   const auto groups = perf.RandomGroups(6, 5);
   std::size_t differing = 0;
   for (const Group& group : groups) {
     QuerySpec spec = BaseSpec();
     spec.algorithm = Algorithm::kNaive;
-    const auto with_affinity = recommender_->Recommend(group, spec).value().items;
+    const auto with_affinity = engine_->Recommend(group, spec).value().items;
     spec.model = AffinityModelSpec::AffinityAgnostic();
-    const auto without = recommender_->Recommend(group, spec).value().items;
+    const auto without = engine_->Recommend(group, spec).value().items;
     if (std::set<ItemId>(with_affinity.begin(), with_affinity.end()) !=
         std::set<ItemId>(without.begin(), without.end())) {
       ++differing;
@@ -157,17 +167,12 @@ TEST_F(IntegrationTest, ModelAffinityInUnitInterval) {
       for (const auto model :
            {AffinityModelSpec::Default(), AffinityModelSpec::Continuous()}) {
         const double aff =
-            recommender_->ModelAffinity(a, b, std::nullopt, model);
+            ModelAffinity(engine_->affinity(), a, b, std::nullopt, model);
         EXPECT_GE(aff, 0.0);
         EXPECT_LE(aff, 1.0);
       }
     }
   }
-}
-
-TEST_F(IntegrationTest, PredictionsCoverEveryItem) {
-  const auto preds = recommender_->Predictions(0);
-  EXPECT_EQ(preds.size(), universe_->dataset.num_items());
 }
 
 TEST_F(IntegrationTest, GrecaMatchesNaiveForEveryConsensusThroughFacade) {
@@ -180,9 +185,9 @@ TEST_F(IntegrationTest, GrecaMatchesNaiveForEveryConsensusThroughFacade) {
     QuerySpec spec = BaseSpec();
     spec.consensus = consensus;
     spec.algorithm = Algorithm::kGreca;
-    const Recommendation greca = recommender_->Recommend(group, spec).value();
+    const Recommendation greca = engine_->Recommend(group, spec).value();
     spec.algorithm = Algorithm::kNaive;
-    const Recommendation naive = recommender_->Recommend(group, spec).value();
+    const Recommendation naive = engine_->Recommend(group, spec).value();
     const std::set<ItemId> gs(greca.items.begin(), greca.items.end());
     const std::set<ItemId> ns(naive.items.begin(), naive.items.end());
     EXPECT_EQ(gs, ns) << consensus.Name();
@@ -193,7 +198,7 @@ TEST_F(IntegrationTest, PairwiseConsensusCarriesAgreementList) {
   const Group group{2, 8, 21};
   QuerySpec spec = BaseSpec();
   spec.consensus = ConsensusSpec::PairwiseDisagreement(0.5);
-  const GroupProblem problem = recommender_->BuildProblem(group, spec).value();
+  const GroupProblem problem = Build(group, spec);
   // The facade pre-aggregates the pair components into one list covering
   // exactly the live (non-tombstoned) candidates.
   ASSERT_EQ(problem.agreement_lists().size(), 1u);
@@ -206,11 +211,11 @@ TEST_F(IntegrationTest, PairwiseConsensusCarriesAgreementList) {
 }
 
 TEST_F(IntegrationTest, ResolvePeriodValidatesRange) {
-  EXPECT_EQ(recommender_->ResolvePeriod(0).value(), 0u);
-  EXPECT_EQ(recommender_->ResolvePeriod(std::nullopt).value(),
-            recommender_->num_periods() - 1);
+  const std::size_t periods = engine_->num_periods();
+  EXPECT_EQ(ResolveEvalPeriod(0, periods).value(), 0u);
+  EXPECT_EQ(ResolveEvalPeriod(std::nullopt, periods).value(), periods - 1);
   // Out-of-range periods are rejected, not clamped.
-  const auto bad = recommender_->ResolvePeriod(10'000);
+  const auto bad = ResolveEvalPeriod(10'000, periods);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kOutOfRange);
 }
@@ -219,9 +224,9 @@ TEST_F(IntegrationTest, ThresholdOnlyFacadePathStillCorrect) {
   const Group group{5, 12, 28};
   QuerySpec spec = BaseSpec();
   spec.termination = TerminationPolicy::kThresholdOnly;
-  const Recommendation slow = recommender_->Recommend(group, spec).value();
+  const Recommendation slow = engine_->Recommend(group, spec).value();
   spec.termination = TerminationPolicy::kBufferCondition;
-  const Recommendation fast = recommender_->Recommend(group, spec).value();
+  const Recommendation fast = engine_->Recommend(group, spec).value();
   const std::set<ItemId> ss(slow.items.begin(), slow.items.end());
   const std::set<ItemId> fs(fast.items.begin(), fast.items.end());
   EXPECT_EQ(ss, fs);

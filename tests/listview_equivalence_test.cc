@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/greca.h"
 #include "core/group_recommender.h"
+#include "shard/sharded_engine.h"
 #include "topk/list_view.h"
 #include "topk/naive.h"
 #include "topk/problem.h"
@@ -249,6 +251,15 @@ class ZeroCopyFacadeTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
+  static std::unique_ptr<ShardedEngine> MakeEngine(std::size_t pool) {
+    ShardedEngineOptions options;
+    options.num_shards = 2;
+    options.batch_threads = 1;
+    options.max_candidate_items = pool;
+    return std::make_unique<ShardedEngine>(universe_->dataset, *study_,
+                                           options);
+  }
+
   static SyntheticRatings* universe_;
   static FacebookStudy* study_;
 };
@@ -257,9 +268,8 @@ SyntheticRatings* ZeroCopyFacadeTest::universe_ = nullptr;
 FacebookStudy* ZeroCopyFacadeTest::study_ = nullptr;
 
 TEST_F(ZeroCopyFacadeTest, BuildProblemPerformsNoPreferenceListSort) {
-  RecommenderOptions options;
-  options.max_candidate_items = 220;
-  const GroupRecommender recommender(*universe_, *study_, options);
+  const auto engine = MakeEngine(220);
+  const auto set = engine->Pin();
   const std::vector<UserId> group{1, 4, 9, 16};
 
   QueryWorkspace workspace;
@@ -275,12 +285,12 @@ TEST_F(ZeroCopyFacadeTest, BuildProblemPerformsNoPreferenceListSort) {
     // arena-owned storage in place.
     const std::uint64_t before = SortedList::FromUnsortedCalls();
     const auto with_ws =
-        recommender.BuildProblem(group, spec, nullptr, &workspace);
+        engine->BuildProblem(set, group, spec, nullptr, &workspace);
     ASSERT_TRUE(with_ws.ok());
     EXPECT_EQ(SortedList::FromUnsortedCalls(), before) << consensus.Name();
     // The workspace-less path allocates its own arena but still never sorts
     // a preference list.
-    const auto owned = recommender.BuildProblem(group, spec);
+    const auto owned = engine->BuildProblem(set, group, spec);
     ASSERT_TRUE(owned.ok());
     EXPECT_EQ(SortedList::FromUnsortedCalls(), before) << consensus.Name();
   }
@@ -288,13 +298,9 @@ TEST_F(ZeroCopyFacadeTest, BuildProblemPerformsNoPreferenceListSort) {
 
 TEST_F(ZeroCopyFacadeTest, PrefixSliceMatchesDedicatedPool) {
   // Querying a 120-item prefix of a 220-item index must behave exactly like
-  // a recommender whose whole pool is those 120 items.
-  RecommenderOptions wide;
-  wide.max_candidate_items = 220;
-  RecommenderOptions narrow;
-  narrow.max_candidate_items = 120;
-  const GroupRecommender big(*universe_, *study_, wide);
-  const GroupRecommender small(*universe_, *study_, narrow);
+  // an engine whose whole pool is those 120 items.
+  const auto big = MakeEngine(220);
+  const auto small = MakeEngine(120);
 
   QuerySpec spec;
   spec.k = 6;
@@ -302,8 +308,8 @@ TEST_F(ZeroCopyFacadeTest, PrefixSliceMatchesDedicatedPool) {
   const std::vector<std::vector<UserId>> groups = {
       {0, 3, 7}, {2, 5, 11, 19}, {13}};
   for (const std::vector<UserId>& group : groups) {
-    const Recommendation sliced = big.Recommend(group, spec).value();
-    const Recommendation dedicated = small.Recommend(group, spec).value();
+    const Recommendation sliced = big->Recommend(group, spec).value();
+    const Recommendation dedicated = small->Recommend(group, spec).value();
     EXPECT_EQ(sliced.items, dedicated.items);
     EXPECT_EQ(sliced.scores, dedicated.scores);
     EXPECT_EQ(sliced.raw.accesses.sequential,
@@ -313,9 +319,8 @@ TEST_F(ZeroCopyFacadeTest, PrefixSliceMatchesDedicatedPool) {
 }
 
 TEST_F(ZeroCopyFacadeTest, WorkspaceProblemViewsStayValidUntilReuse) {
-  RecommenderOptions options;
-  options.max_candidate_items = 180;
-  const GroupRecommender recommender(*universe_, *study_, options);
+  const auto engine = MakeEngine(180);
+  const auto set = engine->Pin();
   QuerySpec spec;
   spec.k = 4;
   spec.num_candidate_items = 150;
@@ -323,9 +328,9 @@ TEST_F(ZeroCopyFacadeTest, WorkspaceProblemViewsStayValidUntilReuse) {
   QueryWorkspace workspace;
   const std::vector<UserId> group{2, 6, 10};
   const auto ws_problem =
-      recommender.BuildProblem(group, spec, nullptr, &workspace);
+      engine->BuildProblem(set, group, spec, nullptr, &workspace);
   ASSERT_TRUE(ws_problem.ok());
-  const auto owned_problem = recommender.BuildProblem(group, spec);
+  const auto owned_problem = engine->BuildProblem(set, group, spec);
   ASSERT_TRUE(owned_problem.ok());
   // Identical problems whether the arena is the workspace's or owned.
   EXPECT_EQ(ws_problem.value().TotalEntries(),

@@ -1,9 +1,9 @@
 // The batch planner's load-bearing contract: a PLANNED RecommendBatch —
 // duplicate queries bucketed by execution signature, one assembled + solved
 // problem per bucket, results fanned back out — is BIT-IDENTICAL to the
-// unplanned one-problem-per-query reference path, on both the monolithic
-// Engine and the ShardedEngine, with invalid queries mixed in, and across
-// publishes landing around a pinned snapshot / snapshot set. "Bit-identical"
+// unplanned one-problem-per-query reference path, at one shard and at
+// several, with invalid queries mixed in, and across publishes landing
+// around a pinned snapshot set. "Bit-identical"
 // covers the full observable surface: per-query ok/status, recommended
 // items, scores, raw access counters, rounds, and early termination. The
 // planner's report (buckets, attribution, dedup ratio, lazy-agreement and
@@ -17,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/engine.h"
 #include "common/rng.h"
 #include "plan/batch_planner.h"
 #include "shard/sharded_engine.h"
@@ -163,7 +162,7 @@ TEST(BatchPlannerTest, RejectedQueriesCarryTheValidatorStatus) {
   EXPECT_EQ(plan.num_valid, 2u);
 }
 
-// --- End-to-end equivalence on both engines ---------------------------------
+// --- End-to-end equivalence -------------------------------------------------
 
 class PlannerEquivalenceTest : public ::testing::Test {
  protected:
@@ -185,26 +184,9 @@ class PlannerEquivalenceTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
-  static RecommenderOptions MonoOptions() {
-    RecommenderOptions options;
-    options.max_candidate_items = 360;
-    return options;
-  }
-
-  static std::unique_ptr<Engine> MakePlanned() {
-    EngineOptions eopts;
-    eopts.num_threads = 2;
-    return std::make_unique<Engine>(universe_->dataset, *study_, MonoOptions(),
-                                    eopts);
-  }
-
-  /// The unplanned reference engine: wraps the SAME recommender (and so
-  /// serves the same snapshots) with planning disabled.
-  static std::unique_ptr<Engine> WrapUnplanned(const Engine& planned) {
-    EngineOptions eopts;
-    eopts.num_threads = 2;
-    eopts.plan_batches = false;
-    return std::make_unique<Engine>(planned.recommender(), eopts);
+  /// The one-shard engine every multi-shard configuration must match.
+  static std::unique_ptr<ShardedEngine> MakeOneShard(bool plan_batches) {
+    return MakeShardedN(1, plan_batches, /*batch_threads=*/2);
   }
 
   static std::unique_ptr<ShardedEngine> MakeSharded(bool plan_batches) {
@@ -377,9 +359,9 @@ class PlannerEquivalenceTest : public ::testing::Test {
 SyntheticRatings* PlannerEquivalenceTest::universe_ = nullptr;
 FacebookStudy* PlannerEquivalenceTest::study_ = nullptr;
 
-TEST_F(PlannerEquivalenceTest, PlannedMatchesUnplannedOnTheMonolithicEngine) {
-  const auto planned = MakePlanned();
-  const auto unplanned = WrapUnplanned(*planned);
+TEST_F(PlannerEquivalenceTest, PlannedMatchesUnplannedOnOneShard) {
+  const auto planned = MakeOneShard(/*plan_batches=*/true);
+  const auto unplanned = MakeOneShard(/*plan_batches=*/false);
 
   for (const std::size_t dup : {1u, 4u, 16u}) {
     const std::vector<Query> batch = DuplicateHeavyBatch(12, dup, 900 + dup);
@@ -407,35 +389,40 @@ TEST_F(PlannerEquivalenceTest, PlannedMatchesUnplannedOnTheMonolithicEngine) {
   }
 }
 
-// A batch replayed on a pinned snapshot must ignore publishes entirely —
+// A batch replayed on a pinned set must ignore publishes entirely —
 // planned and unplanned alike — while fresh batches see the new generation,
 // still identically across the two paths.
 TEST_F(PlannerEquivalenceTest, PinnedSnapshotSurvivesPublishesOnBothPaths) {
-  const auto planned = MakePlanned();
-  const auto unplanned = WrapUnplanned(*planned);
+  const auto planned = MakeOneShard(/*plan_batches=*/true);
+  const auto unplanned = MakeOneShard(/*plan_batches=*/false);
   const std::vector<Query> batch = DuplicateHeavyBatch(10, 4, 911);
 
-  const auto pin = planned->snapshot();
-  const auto before = planned->RecommendBatch(batch, pin, nullptr);
-  ExpectBatchIdentical(before, unplanned->RecommendBatch(batch, pin, nullptr),
-                       "pinned-before");
+  const auto planned_pin = planned->Pin();
+  const auto unplanned_pin = unplanned->Pin();
+  const auto before = planned->RecommendBatch(planned_pin, batch, nullptr);
+  ExpectBatchIdentical(
+      before, unplanned->RecommendBatch(unplanned_pin, batch, nullptr),
+      "pinned-before");
 
   for (std::uint64_t round = 0; round < 3; ++round) {
-    ASSERT_TRUE(planned->ApplyUpdates(RandomEvents(24, 1'300 + round)).ok());
-    ExpectBatchIdentical(before, planned->RecommendBatch(batch, pin, nullptr),
-                         "pinned-replay-planned");
-    ExpectBatchIdentical(before,
-                         unplanned->RecommendBatch(batch, pin, nullptr),
-                         "pinned-replay-unplanned");
+    const std::vector<RatingEvent> events = RandomEvents(24, 1'300 + round);
+    ASSERT_TRUE(planned->ApplyUpdates(events).ok());
+    ASSERT_TRUE(unplanned->ApplyUpdates(events).ok());
+    ExpectBatchIdentical(
+        before, planned->RecommendBatch(planned_pin, batch, nullptr),
+        "pinned-replay-planned");
+    ExpectBatchIdentical(
+        before, unplanned->RecommendBatch(unplanned_pin, batch, nullptr),
+        "pinned-replay-unplanned");
   }
   ExpectBatchIdentical(planned->RecommendBatch(batch),
                        unplanned->RecommendBatch(batch), "fresh-after");
 }
 
-// Sharded planned == sharded unplanned == monolithic, from fresh engines and
+// Sharded planned == sharded unplanned == one shard, from fresh engines and
 // after every batch of a shared update stream.
-TEST_F(PlannerEquivalenceTest, ShardedPlannedMatchesUnplannedAndMonolithic) {
-  const auto mono = MakePlanned();
+TEST_F(PlannerEquivalenceTest, ShardedPlannedMatchesUnplannedAndOneShard) {
+  const auto mono = MakeOneShard(/*plan_batches=*/true);
   const auto sharded_planned = MakeSharded(/*plan_batches=*/true);
   const auto sharded_unplanned = MakeSharded(/*plan_batches=*/false);
 
@@ -446,7 +433,7 @@ TEST_F(PlannerEquivalenceTest, ShardedPlannedMatchesUnplannedAndMonolithic) {
     const auto su = sharded_unplanned->RecommendBatch(batch, &su_report);
     ExpectBatchIdentical(sp, su, "sharded-planned-vs-unplanned");
     ExpectBatchIdentical(sp, mono->RecommendBatch(batch),
-                         "sharded-vs-mono");
+                         "sharded-vs-one-shard");
     CheckPlannedReport(sp_report, batch.size(), "sharded-planned");
     EXPECT_NEAR(sp_report.dedup_ratio, 4.0, 1e-12);
     EXPECT_FALSE(su_report.planned);
@@ -571,15 +558,15 @@ TEST_F(PlannerEquivalenceTest, ShardedParallelPlannedMatchesSerialReference) {
 // only when an algorithm walks it, with TotalEntries (the paper's EDA cost
 // surface) exact in both states.
 TEST_F(PlannerEquivalenceTest, LazyAgreementDeferAndMaterialize) {
-  const auto engine = MakePlanned();
-  const GroupRecommender& rec = engine->recommender();
+  const auto engine = MakeOneShard(/*plan_batches=*/true);
+  const auto set = engine->Pin();
 
   QuerySpec pairwise = SmallSpec();
   pairwise.consensus = ConsensusSpec::PairwiseDisagreement();
   const std::vector<UserId> group = {1, 2, 3};
 
   // Build WITHOUT solving: the agreement list must stay unbuilt.
-  auto problem = rec.BuildProblem(group, pairwise);
+  auto problem = engine->BuildProblem(set, group, pairwise);
   ASSERT_TRUE(problem.ok()) << problem.status().ToString();
   EXPECT_TRUE(problem.value().agreement_deferred());
   EXPECT_FALSE(problem.value().agreement_materialized());
@@ -597,7 +584,7 @@ TEST_F(PlannerEquivalenceTest, LazyAgreementDeferAndMaterialize) {
   EXPECT_GT(lists[0].size(), 0u);
 
   // Non-pairwise consensus never defers (nothing to build).
-  auto plain = rec.BuildProblem(group, SmallSpec());
+  auto plain = engine->BuildProblem(set, group, SmallSpec());
   ASSERT_TRUE(plain.ok());
   EXPECT_FALSE(plain.value().agreement_deferred());
   EXPECT_FALSE(plain.value().uses_agreement_lists());

@@ -2,9 +2,12 @@
 // prefix/tombstone slicing through UserView.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "common/rng.h"
 #include "index/preference_index.h"
 #include "topk/list_view.h"
 
@@ -201,6 +204,93 @@ TEST(PreferenceIndexTest, FullPrefixViewMatchesRow) {
     EXPECT_DOUBLE_EQ(e.score, row[i].score);
   }
   EXPECT_FALSE(view.SkipToLive(cursor));
+}
+
+// PreferenceIndex::Build over a full per-item prediction matrix is the row
+// oracle for the serving paths: BuildStreaming (fed pool-position scores)
+// and CloneWithUpdatedPoolRows (rebuilding some rows of an index built from
+// other scores) must produce bit-identical rows — the banded arrays and the
+// order a full-prefix view walks (the flat twin where there is one) — in
+// both layouts.
+TEST(PreferenceIndexTest, StreamingBuildAndRowCloneMatchFullMatrixBuild) {
+  constexpr std::size_t kUsers = 9;
+  constexpr std::size_t kItems = 300;
+  Rng rng(404);
+  const auto random_matrix = [&rng] {
+    std::vector<std::vector<Score>> m(kUsers, std::vector<Score>(kItems));
+    for (auto& row : m) {
+      // Coarse values so ties (broken by ascending key) are common.
+      for (Score& v : row) v = 0.5 * static_cast<double>(rng.NextBounded(11));
+    }
+    return m;
+  };
+  const std::vector<std::vector<Score>> target = random_matrix();
+  const std::vector<std::vector<Score>> stale = random_matrix();
+  std::vector<ItemId> pool;
+  for (ItemId i = 0; i < kItems; i += 3) pool.push_back(kItems - 1 - i);
+  const auto pool_scores = [&pool](const std::vector<Score>& row) {
+    std::vector<Score> out(pool.size());
+    for (std::size_t k = 0; k < pool.size(); ++k) out[k] = row[pool[k]];
+    return out;
+  };
+
+  for (const bool banded : {true, false}) {
+    const std::vector<std::uint32_t> breakpoints =
+        banded ? PreferenceIndex::GeometricBandBreakpoints(pool.size(), 8)
+               : std::vector<std::uint32_t>{};
+    const PreferenceIndex oracle = PreferenceIndex::Build(
+        target, 5.0, pool, kItems, breakpoints);
+    ASSERT_EQ(oracle.num_bands() > 1, banded);
+
+    const PreferenceIndex streamed = PreferenceIndex::BuildStreaming(
+        kUsers,
+        [&](UserId row, std::span<const ItemId> p, std::span<Score> out) {
+          ASSERT_EQ(p.size(), pool.size());
+          const std::vector<Score> scores = pool_scores(target[row]);
+          std::copy(scores.begin(), scores.end(), out.begin());
+        },
+        5.0, pool, kItems, breakpoints);
+
+    // Rows 0, 3, 4 and 8 rebuilt from the target; the rest built from the
+    // target to begin with.
+    std::vector<std::vector<Score>> mixed = target;
+    const std::vector<UserId> touched = {0, 3, 4, 8};
+    for (const UserId u : touched) mixed[u] = stale[u];
+    const PreferenceIndex before =
+        PreferenceIndex::Build(mixed, 5.0, pool, kItems, breakpoints);
+    std::vector<std::vector<Score>> rebuilt;
+    for (const UserId u : touched) rebuilt.push_back(pool_scores(target[u]));
+    std::vector<std::span<const Score>> views(rebuilt.begin(), rebuilt.end());
+    const PreferenceIndex cloned =
+        before.CloneWithUpdatedPoolRows(touched, views);
+
+    for (const PreferenceIndex* index : {&streamed, &cloned}) {
+      ASSERT_EQ(index->num_bands(), oracle.num_bands());
+      for (UserId u = 0; u < kUsers; ++u) {
+        const auto want = RowEntries(oracle, u);
+        const auto got = RowEntries(*index, u);
+        ASSERT_EQ(got.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(got[i].id, want[i].id) << "user " << u << " pos " << i;
+          EXPECT_EQ(got[i].score, want[i].score) << "user " << u;
+        }
+        // The full-prefix view (the flat twin on banded rows) walks the
+        // same global order.
+        const ListView a = oracle.UserView(u, pool.size(), {}, pool.size());
+        const ListView b = index->UserView(u, pool.size(), {}, pool.size());
+        std::size_t ca = 0, cb = 0;
+        AccessCounter counter;
+        while (a.SkipToLive(ca)) {
+          ASSERT_TRUE(b.SkipToLive(cb));
+          const ListEntry& ea = a.ReadSequential(ca, counter);
+          const ListEntry& eb = b.ReadSequential(cb, counter);
+          EXPECT_EQ(ea.id, eb.id) << "user " << u;
+          EXPECT_EQ(ea.score, eb.score) << "user " << u;
+        }
+        EXPECT_FALSE(b.SkipToLive(cb));
+      }
+    }
+  }
 }
 
 }  // namespace

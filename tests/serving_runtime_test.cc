@@ -1,12 +1,12 @@
-// The unified serving runtime's concurrency surface (src/serve/):
+// The serving runtime's concurrency surface (src/serve/):
 //
 //  * WorkspacePool — leases are exclusive, returned workspaces are reused,
 //    and the high-water mark tracks peak concurrency, not call count.
-//  * Racing batches — Engine::RecommendBatch no longer serializes callers
-//    behind a whole-batch mutex: two threads batching concurrently against
-//    one pinned snapshot, with a publisher racing them, must each reproduce
-//    the serial reference bit-for-bit. Runs under the TSan CI job like every
-//    test (the old workspace sharing was exactly the race TSan would flag).
+//  * Racing batches — RecommendBatch does not serialize callers behind a
+//    whole-batch mutex: two threads batching concurrently against one
+//    pinned set, with a publisher racing them, must each reproduce the
+//    serial reference bit-for-bit. Runs under the TSan CI job like every
+//    test (shared workspaces would be exactly the race TSan flags).
 //  * Pin() under a publish storm — the per-shard snapshot gather runs
 //    outside pin_mu_ (see ShardedEngine::Pin); the benign race must only
 //    ever cost a missed reuse, never hand out a set older than a completed
@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "api/engine.h"
 #include "common/rng.h"
 #include "serve/workspace_pool.h"
 #include "shard/sharded_engine.h"
@@ -165,99 +164,61 @@ class ServingRuntimeTest : public ::testing::Test {
 SyntheticRatings* ServingRuntimeTest::universe_ = nullptr;
 FacebookStudy* ServingRuntimeTest::study_ = nullptr;
 
-// Two threads batch concurrently against one pinned snapshot while a third
-// publishes updates. Every racing batch must equal the serial reference
-// computed before the race — the pinned generation is immutable and each
-// batch runs on its own leased workspaces, so neither the concurrent batch
-// nor the publish may perturb results.
+// Two threads batch concurrently against one pinned set while a third
+// publishes updates, at one shard and at four. Every racing batch must equal
+// the serial reference computed before the race — the pinned generations
+// are immutable and each batch runs on its own leased workspaces, so
+// neither the concurrent batch nor the publish may perturb results.
 TEST_F(ServingRuntimeTest, RacingBatchesMatchSerialReferenceUnderPublish) {
-  RecommenderOptions ropts;
-  ropts.max_candidate_items = 240;
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  Engine engine(universe_->dataset, *study_, ropts, eopts);
+  for (const std::size_t num_shards : {1u, 4u}) {
+    ShardedEngineOptions options;
+    options.num_shards = num_shards;
+    options.max_candidate_items = 240;
+    options.batch_threads = 2;
+    ShardedEngine engine(universe_->dataset, *study_, options);
 
-  const std::vector<Query> batch_a = MakeBatch(24, 7'001);
-  const std::vector<Query> batch_b = MakeBatch(24, 7'002);
-  const auto pin = engine.snapshot();
-  const auto ref_a = engine.RecommendBatch(batch_a, pin, nullptr);
-  const auto ref_b = engine.RecommendBatch(batch_b, pin, nullptr);
+    const std::vector<Query> batch_a = MakeBatch(24, 7'001);
+    const std::vector<Query> batch_b = MakeBatch(24, 7'002);
+    const auto pin = engine.Pin();
+    const auto ref_a = engine.RecommendBatch(pin, batch_a, nullptr);
+    const auto ref_b = engine.RecommendBatch(pin, batch_b, nullptr);
 
-  constexpr int kRounds = 4;
-  std::atomic<bool> stop{false};
-  std::atomic<int> mismatches{0};
-  auto racer = [&](const std::vector<Query>& batch,
-                   const std::vector<Result<Recommendation>>& ref) {
-    for (int r = 0; r < kRounds; ++r) {
-      if (!BatchesEqual(engine.RecommendBatch(batch, pin, nullptr), ref)) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
+    constexpr int kRounds = 4;
+    std::atomic<bool> stop{false};
+    std::atomic<int> mismatches{0};
+    auto racer = [&](const std::vector<Query>& batch,
+                     const std::vector<Result<Recommendation>>& ref) {
+      for (int r = 0; r < kRounds; ++r) {
+        if (!BatchesEqual(engine.RecommendBatch(pin, batch, nullptr), ref)) {
+          mismatches.fetch_add(1, std::memory_order_relaxed);
+        }
       }
-    }
-  };
-  std::atomic<int> publish_failures{0};
-  std::thread t1(racer, std::cref(batch_a), std::cref(ref_a));
-  std::thread t2(racer, std::cref(batch_b), std::cref(ref_b));
-  std::thread publisher([&] {
-    std::uint64_t seed = 8'000;
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!engine.ApplyUpdates(RandomEvents(8, seed++)).ok()) {
-        publish_failures.fetch_add(1, std::memory_order_relaxed);
+    };
+    std::atomic<int> publish_failures{0};
+    std::thread t1(racer, std::cref(batch_a), std::cref(ref_a));
+    std::thread t2(racer, std::cref(batch_b), std::cref(ref_b));
+    std::thread publisher([&] {
+      std::uint64_t seed = 8'000;
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (!engine.ApplyUpdates(RandomEvents(8, seed++)).ok()) {
+          publish_failures.fetch_add(1, std::memory_order_relaxed);
+        }
       }
-    }
-  });
-  t1.join();
-  t2.join();
-  stop.store(true, std::memory_order_relaxed);
-  publisher.join();
+    });
+    t1.join();
+    t2.join();
+    stop.store(true, std::memory_order_relaxed);
+    publisher.join();
 
-  EXPECT_EQ(publish_failures.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0)
-      << "a racing batch diverged from the pinned serial reference";
-  // Fresh batches on the post-publish snapshot still work.
-  for (const auto& r : engine.RecommendBatch(batch_a)) {
-    EXPECT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(publish_failures.load(), 0) << num_shards << " shard(s)";
+    EXPECT_EQ(mismatches.load(), 0)
+        << "a racing batch diverged from the pinned serial reference at "
+        << num_shards << " shard(s)";
+    // Fresh batches on the post-publish set still work.
+    for (const auto& r : engine.RecommendBatch(batch_a)) {
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
   }
-}
-
-// The sharded engine's batches race the same way: concurrent RecommendBatch
-// calls on one pinned set, publishes landing throughout.
-TEST_F(ServingRuntimeTest, ShardedRacingBatchesMatchPinnedReference) {
-  ShardedEngineOptions options;
-  options.num_shards = 4;
-  options.max_candidate_items = 240;
-  options.batch_threads = 2;
-  ShardedEngine engine(universe_->dataset, *study_, options);
-
-  const std::vector<Query> batch = MakeBatch(24, 7'003);
-  const auto set = engine.Pin();
-  const auto ref = engine.RecommendBatch(set, batch, nullptr);
-
-  std::atomic<bool> stop{false};
-  std::atomic<int> mismatches{0};
-  auto racer = [&] {
-    for (int r = 0; r < 4; ++r) {
-      if (!BatchesEqual(engine.RecommendBatch(set, batch, nullptr), ref)) {
-        mismatches.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  };
-  std::atomic<int> publish_failures{0};
-  std::thread t1(racer);
-  std::thread t2(racer);
-  std::thread publisher([&] {
-    std::uint64_t seed = 9'000;
-    while (!stop.load(std::memory_order_relaxed)) {
-      if (!engine.ApplyUpdates(RandomEvents(8, seed++)).ok()) {
-        publish_failures.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  });
-  t1.join();
-  t2.join();
-  stop.store(true, std::memory_order_relaxed);
-  publisher.join();
-  EXPECT_EQ(publish_failures.load(), 0);
-  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // --- Pin() publish storm ----------------------------------------------------

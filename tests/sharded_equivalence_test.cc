@@ -1,20 +1,22 @@
 // The sharded engine's load-bearing contract: ShardedEngine(N) over a study
-// is BIT-IDENTICAL to the monolithic Engine built from the same inputs — at
-// any shard count, under both routing strategies, through a randomized
-// stream of live rating batches, with and without compactions, and for
-// snapshot sets pinned across publishes. "Bit-identical" covers the full
-// observable surface: recommended items, scores, raw top-k access counters
+// is BIT-IDENTICAL to ShardedEngine(1) — one shard holding every user —
+// built from the same inputs, at N in {2, 4, 7}, under both routing
+// strategies, through a randomized stream of live rating batches, with and
+// without compactions, and for snapshot sets pinned across publishes. The
+// incremental engines must also match fresh engines built over the offline
+// fold of the same events. "Bit-identical" covers the full observable
+// surface: recommended items, scores, raw top-k access counters
 // (sequential/random), rounds, and the per-batch UpdateReport attribution.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "api/engine.h"
 #include "common/rng.h"
 #include "shard/sharded_engine.h"
 
@@ -41,34 +43,63 @@ class ShardedEquivalenceTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
-  static RecommenderOptions MonoOptions() {
-    RecommenderOptions options;
-    options.max_candidate_items = 360;
-    options.compact_delta_fraction = 0.0;  // report parity needs no-compact
-    return options;
-  }
-
   static ShardedEngineOptions ShardOptionsFor(std::size_t num_shards,
                                               ShardStrategy strategy) {
     ShardedEngineOptions options;
     options.num_shards = num_shards;
     options.strategy = strategy;
     options.max_candidate_items = 360;
-    options.compact_delta_fraction = 0.0;
+    options.compact_delta_fraction = 0.0;  // report parity needs no-compact
+    options.batch_threads = 1;
     return options;
   }
 
-  static std::unique_ptr<Engine> MakeMono() {
-    EngineOptions eopts;
-    eopts.num_threads = 2;
-    return std::make_unique<Engine>(universe_->dataset, *study_, MonoOptions(),
-                                    eopts);
+  /// The reference: one shard holding every user.
+  static std::unique_ptr<ShardedEngine> MakeOneShard() {
+    return MakeSharded(1, ShardStrategy::kHash);
   }
 
-  static std::unique_ptr<ShardedEngine> MakeSharded(std::size_t num_shards,
-                                                    ShardStrategy strategy) {
+  static std::unique_ptr<ShardedEngine> MakeSharded(
+      std::size_t num_shards, ShardStrategy strategy,
+      const FacebookStudy* study = nullptr) {
     return std::make_unique<ShardedEngine>(
-        universe_->dataset, *study_, ShardOptionsFor(num_shards, strategy));
+        universe_->dataset, study != nullptr ? *study : *study_,
+        ShardOptionsFor(num_shards, strategy));
+  }
+
+  /// Every multi-shard configuration checked against the one-shard engine.
+  static std::vector<std::pair<std::size_t, ShardStrategy>> Fleet() {
+    std::vector<std::pair<std::size_t, ShardStrategy>> fleet;
+    for (const ShardStrategy strategy :
+         {ShardStrategy::kHash, ShardStrategy::kRange}) {
+      for (const std::size_t n : {2u, 4u, 7u}) fleet.emplace_back(n, strategy);
+    }
+    return fleet;
+  }
+
+  static std::string Label(const char* phase, const ShardedEngine& engine,
+                           ShardStrategy strategy) {
+    return std::string(phase) + " shards " +
+           std::to_string(engine.num_shards()) +
+           (strategy == ShardStrategy::kHash ? " hash" : " range");
+  }
+
+  /// The study with every event folded into its ratings offline.
+  static FacebookStudy FoldedStudy(const std::vector<RatingEvent>& events) {
+    FacebookStudy folded = *study_;
+    std::vector<RatingRecord> records;
+    for (UserId u = 0; u < study_->num_participants(); ++u) {
+      for (const UserRatingEntry& e : study_->study_ratings.RatingsOfUser(u)) {
+        records.push_back({u, e.item, e.rating, e.timestamp});
+      }
+    }
+    for (const RatingEvent& e : events) {
+      records.push_back({e.user, e.item, e.rating, e.timestamp});
+    }
+    folded.study_ratings = RatingsDataset::FromRecords(
+        study_->num_participants(), universe_->dataset.num_items(),
+        std::move(records));
+    return folded;
   }
 
   /// Deterministic queries across algorithms, models, periods and sizes.
@@ -119,18 +150,6 @@ class ShardedEquivalenceTest : public ::testing::Test {
     return events;
   }
 
-  static std::vector<Recommendation> RunMono(const Engine& engine,
-                                             const std::vector<Query>& mix) {
-    std::vector<Recommendation> out;
-    const auto snap = engine.snapshot();
-    for (const Query& q : mix) {
-      auto r = engine.Recommend(q, snap);
-      EXPECT_TRUE(r.ok()) << r.status().ToString();
-      out.push_back(std::move(r.value()));
-    }
-    return out;
-  }
-
   static std::vector<Recommendation> RunSharded(
       const ShardedEngine& engine, const std::vector<Query>& mix) {
     std::vector<Recommendation> out;
@@ -149,7 +168,7 @@ class ShardedEquivalenceTest : public ::testing::Test {
   /// that two different problems happened to rank items the same way.
   static void ExpectBitIdentical(const std::vector<Recommendation>& mono,
                                  const std::vector<Recommendation>& sharded,
-                                 const char* label) {
+                                 const std::string& label) {
     ASSERT_EQ(mono.size(), sharded.size());
     for (std::size_t i = 0; i < mono.size(); ++i) {
       const Recommendation& a = mono[i];
@@ -210,53 +229,62 @@ TEST(ShardRouterTest, RangeStrategyKeepsNeighborsTogether) {
 // --- The tentpole: bit-identity at every shard count ------------------------
 
 TEST_F(ShardedEquivalenceTest, FreshEnginesAreBitIdentical) {
-  const auto mono = MakeMono();
+  const auto one = MakeOneShard();
   const std::vector<Query> mix = QueryMix();
-  const auto baseline = RunMono(*mono, mix);
+  const auto baseline = RunSharded(*one, mix);
 
-  for (const std::size_t n : {1u, 2u, 4u, 7u}) {
-    const auto sharded = MakeSharded(n, ShardStrategy::kHash);
+  for (const auto& [n, strategy] : Fleet()) {
+    const auto sharded = MakeSharded(n, strategy);
     EXPECT_EQ(sharded->num_shards(), n);
-    ExpectBitIdentical(baseline, RunSharded(*sharded, mix), "hash-fresh");
+    ExpectBitIdentical(baseline, RunSharded(*sharded, mix),
+                       Label("fresh", *sharded, strategy));
   }
-  const auto range = MakeSharded(4, ShardStrategy::kRange);
-  ExpectBitIdentical(baseline, RunSharded(*range, mix), "range-fresh");
 }
 
-// A randomized update stream applied to the monolithic engine and to
-// ShardedEngine(N in {1, 2, 4, 7}) must keep recommendations bit-identical
-// after EVERY batch, and the summed per-shard attribution must equal the
-// monolithic report exactly (the event partition is by user, so applied /
-// stale / users_rebuilt totals cannot differ).
+// A randomized update stream applied to the one-shard engine and to
+// ShardedEngine(N in {2, 4, 7}, hash and range) must keep recommendations
+// bit-identical after EVERY batch, and the summed per-shard attribution must
+// equal the one-shard report exactly (the event partition is by user, so
+// applied / stale / users_rebuilt totals cannot differ). At the end, every
+// incrementally published engine must equal a fresh engine of the same
+// shape built over the offline fold of the whole stream.
 TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
-  const auto mono = MakeMono();
+  const auto one = MakeOneShard();
   std::vector<std::unique_ptr<ShardedEngine>> fleet;
-  for (const std::size_t n : {1u, 2u, 4u, 7u}) {
-    fleet.push_back(MakeSharded(n, ShardStrategy::kHash));
+  std::vector<ShardStrategy> strategies;
+  for (const auto& [n, strategy] : Fleet()) {
+    fleet.push_back(MakeSharded(n, strategy));
+    strategies.push_back(strategy);
   }
-  fleet.push_back(MakeSharded(4, ShardStrategy::kRange));
   const std::vector<Query> mix = QueryMix();
 
+  std::vector<RatingEvent> all_events;
   for (std::uint64_t batch = 0; batch < 6; ++batch) {
     const std::vector<RatingEvent> events = RandomEvents(20, 1'700 + batch);
+    all_events.insert(all_events.end(), events.begin(), events.end());
 
-    UpdateReport mono_report;
-    ASSERT_TRUE(mono->ApplyUpdates(events, &mono_report).ok());
-    const auto baseline = RunMono(*mono, mix);
+    ShardedUpdateReport one_sharded;
+    ASSERT_TRUE(one->ApplyUpdates(events, &one_sharded).ok());
+    const UpdateReport& one_report = one_sharded.total;
+    const auto baseline = RunSharded(*one, mix);
 
-    for (const auto& sharded : fleet) {
+    for (std::size_t f = 0; f < fleet.size(); ++f) {
+      const ShardedEngine& sharded = *fleet[f];
+      const std::string label =
+          Label("post-update", sharded, strategies[f]) + " batch " +
+          std::to_string(batch);
       ShardedUpdateReport report;
-      ASSERT_TRUE(sharded->ApplyUpdates(events, &report).ok());
+      ASSERT_TRUE(fleet[f]->ApplyUpdates(events, &report).ok());
 
-      EXPECT_EQ(report.total.events_applied, mono_report.events_applied)
-          << "batch " << batch << " shards " << sharded->num_shards();
+      EXPECT_EQ(report.total.events_applied, one_report.events_applied)
+          << label;
       EXPECT_EQ(report.total.events_ignored_stale,
-                mono_report.events_ignored_stale)
-          << "batch " << batch << " shards " << sharded->num_shards();
-      EXPECT_EQ(report.total.users_rebuilt, mono_report.users_rebuilt)
-          << "batch " << batch << " shards " << sharded->num_shards();
-      EXPECT_EQ(report.total.delta_log_ratings, mono_report.delta_log_ratings)
-          << "batch " << batch << " shards " << sharded->num_shards();
+                one_report.events_ignored_stale)
+          << label;
+      EXPECT_EQ(report.total.users_rebuilt, one_report.users_rebuilt)
+          << label;
+      EXPECT_EQ(report.total.delta_log_ratings, one_report.delta_log_ratings)
+          << label;
       EXPECT_FALSE(report.total.compacted);
       EXPECT_EQ(report.total.events_applied +
                     report.total.events_ignored_stale,
@@ -265,7 +293,7 @@ TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
       // Per-shard attribution is internally consistent: the totals are
       // sums over exactly the touched shards.
       std::size_t applied = 0, stale = 0, rebuilt = 0, touched = 0;
-      ASSERT_EQ(report.per_shard.size(), sharded->num_shards());
+      ASSERT_EQ(report.per_shard.size(), sharded.num_shards());
       for (const UpdateReport& r : report.per_shard) {
         applied += r.events_applied;
         stale += r.events_ignored_stale;
@@ -277,19 +305,29 @@ TEST_F(ShardedEquivalenceTest, RandomizedUpdateStreamEquivalence) {
       EXPECT_EQ(rebuilt, report.total.users_rebuilt);
       EXPECT_LE(touched, report.shards_touched);
       EXPECT_GE(report.shards_touched, 1u);
-      EXPECT_LE(report.shards_touched, sharded->num_shards());
+      EXPECT_LE(report.shards_touched, sharded.num_shards());
 
-      ExpectBitIdentical(baseline, RunSharded(*sharded, mix),
-                         "post-update");
+      ExpectBitIdentical(baseline, RunSharded(sharded, mix), label);
     }
+  }
+
+  const FacebookStudy folded = FoldedStudy(all_events);
+  ExpectBitIdentical(RunSharded(*MakeSharded(1, ShardStrategy::kHash, &folded),
+                                mix),
+                     RunSharded(*one, mix), "one-shard incremental-vs-fresh");
+  for (std::size_t f = 0; f < fleet.size(); ++f) {
+    const auto fresh =
+        MakeSharded(fleet[f]->num_shards(), strategies[f], &folded);
+    ExpectBitIdentical(RunSharded(*fresh, mix), RunSharded(*fleet[f], mix),
+                       Label("incremental-vs-fresh", *fleet[f], strategies[f]));
   }
 }
 
 // Compaction is a per-shard policy triggering at per-shard cadences that
-// can never line up with the monolithic engine's — and must still be
+// can never line up with the one-shard engine's — and must still be
 // unobservable in the recommendations.
 TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
-  const auto mono = MakeMono();  // never compacts
+  const auto one = MakeOneShard();  // never compacts
   ShardedEngineOptions copts = ShardOptionsFor(4, ShardStrategy::kHash);
   copts.compact_every_n_publishes = 2;  // aggressive per-shard cadence
   const auto sharded =
@@ -299,11 +337,11 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
   bool saw_compaction = false;
   for (std::uint64_t batch = 0; batch < 6; ++batch) {
     const std::vector<RatingEvent> events = RandomEvents(24, 2'900 + batch);
-    ASSERT_TRUE(mono->ApplyUpdates(events).ok());
+    ASSERT_TRUE(one->ApplyUpdates(events).ok());
     ShardedUpdateReport report;
     ASSERT_TRUE(sharded->ApplyUpdates(events, &report).ok());
     saw_compaction = saw_compaction || report.total.compacted;
-    ExpectBitIdentical(RunMono(*mono, mix), RunSharded(*sharded, mix),
+    ExpectBitIdentical(RunSharded(*one, mix), RunSharded(*sharded, mix),
                        "compacting-shards");
   }
   EXPECT_TRUE(saw_compaction) << "the cadence never fired; test is vacuous";
@@ -311,63 +349,50 @@ TEST_F(ShardedEquivalenceTest, CompactionIsUnobservableAcrossShardCounts) {
 
 // A pinned ShardedSnapshotSet is a cross-shard fence: publishes landing
 // after the pin must not perturb it, and it must keep answering exactly
-// like the monolithic snapshot pinned at the same instant.
+// like the one-shard set pinned at the same instant.
 TEST_F(ShardedEquivalenceTest, PinnedSetSurvivesConcurrentPublishes) {
-  const auto mono = MakeMono();
+  const auto one = MakeOneShard();
   const auto sharded = MakeSharded(4, ShardStrategy::kHash);
   const std::vector<Query> mix = QueryMix();
 
-  const auto mono_pin = mono->snapshot();
+  const auto one_pin = one->Pin();
   const auto shard_pin = sharded->Pin();
-
-  std::vector<Recommendation> before;
-  {
+  const auto run_on = [&mix](const ShardedEngine& engine,
+                             const std::shared_ptr<const ShardedSnapshotSet>&
+                                 set) {
+    std::vector<Recommendation> out;
     QueryWorkspace ws;
     for (const Query& q : mix) {
-      auto r = sharded->Recommend(shard_pin, q.group, q.spec, &ws);
-      ASSERT_TRUE(r.ok());
-      before.push_back(std::move(r.value()));
+      auto r = engine.Recommend(set, q.group, q.spec, &ws);
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+      out.push_back(std::move(r.value()));
     }
-  }
+    return out;
+  };
+  const std::vector<Recommendation> before = run_on(*sharded, shard_pin);
 
   for (std::uint64_t batch = 0; batch < 3; ++batch) {
     const std::vector<RatingEvent> events = RandomEvents(24, 5'100 + batch);
-    ASSERT_TRUE(mono->ApplyUpdates(events).ok());
+    ASSERT_TRUE(one->ApplyUpdates(events).ok());
     ShardedUpdateReport report;
     ASSERT_TRUE(sharded->ApplyUpdates(events, &report).ok());
     EXPECT_GE(report.shards_touched, 1u);
   }
 
   // The retired generations replay bit-identically...
-  std::vector<Recommendation> replay;
-  {
-    QueryWorkspace ws;
-    for (const Query& q : mix) {
-      auto r = sharded->Recommend(shard_pin, q.group, q.spec, &ws);
-      ASSERT_TRUE(r.ok());
-      replay.push_back(std::move(r.value()));
-    }
-  }
+  const std::vector<Recommendation> replay = run_on(*sharded, shard_pin);
   ExpectBitIdentical(before, replay, "pinned-replay");
-
-  // ...still matching the monolithic snapshot pinned at the same instant...
-  std::vector<Recommendation> mono_before;
-  for (const Query& q : mix) {
-    auto r = mono->Recommend(q, mono_pin);
-    ASSERT_TRUE(r.ok());
-    mono_before.push_back(std::move(r.value()));
-  }
-  ExpectBitIdentical(mono_before, replay, "pinned-vs-mono-pin");
-
+  // ...still matching the one-shard set pinned at the same instant...
+  ExpectBitIdentical(run_on(*one, one_pin), replay, "pinned-vs-one-shard-pin");
   // ...while fresh pins see the post-update world, also identically.
-  ExpectBitIdentical(RunMono(*mono, mix), RunSharded(*sharded, mix),
+  ExpectBitIdentical(RunSharded(*one, mix), RunSharded(*sharded, mix),
                      "fresh-after-pin");
 }
 
-// Validation is all-or-nothing on both paths with matching status codes:
-// one bad event anywhere must leave every shard untouched.
+// Validation is all-or-nothing at every shard count with identical
+// statuses: one bad event anywhere must leave every shard untouched.
 TEST_F(ShardedEquivalenceTest, ValidationParityAndAtomicity) {
-  const auto mono = MakeMono();
+  const auto one = MakeOneShard();
   const auto sharded = MakeSharded(4, ShardStrategy::kHash);
 
   const auto participants = static_cast<UserId>(study_->num_participants());
@@ -380,12 +405,13 @@ TEST_F(ShardedEquivalenceTest, ValidationParityAndAtomicity) {
       {5, 7, std::numeric_limits<Score>::quiet_NaN(), 100}};
 
   for (const auto& batch : {bad_user, bad_item, bad_rating}) {
-    const Status ms = mono->ApplyUpdates(batch);
+    const Status os = one->ApplyUpdates(batch);
     ShardedUpdateReport report;
     const Status ss = sharded->ApplyUpdates(batch, &report);
-    EXPECT_FALSE(ms.ok());
+    EXPECT_FALSE(os.ok());
     EXPECT_FALSE(ss.ok());
-    EXPECT_EQ(ms.code(), ss.code());
+    EXPECT_EQ(os.code(), ss.code());
+    EXPECT_EQ(os.message(), ss.message());
   }
   // Nothing was applied anywhere: every shard still serves generation 1.
   const auto set = sharded->Pin();
@@ -394,31 +420,33 @@ TEST_F(ShardedEquivalenceTest, ValidationParityAndAtomicity) {
     EXPECT_EQ(set->shard(s).ratings->delta_ratings(), 0u);
   }
 
-  // Query validation parity: same codes for the same bad queries.
+  // Query validation parity: same statuses for the same bad queries.
   const std::vector<UserId> good_group = {1, 2, 3};
   QuerySpec spec;
   spec.num_candidate_items = 360;
   Query q;
   q.group = good_group;
   q.spec = spec;
+  const auto expect_parity = [&](const char* what) {
+    const Status os = one->Recommend(q.group, q.spec).status();
+    const Status ss = sharded->ValidateQuery(q.group, q.spec);
+    EXPECT_FALSE(os.ok()) << what;
+    EXPECT_EQ(os.code(), ss.code()) << what;
+    EXPECT_EQ(os.message(), ss.message()) << what;
+  };
 
   q.group = {};
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_parity("empty group");
   q.group = {1, 1};
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_parity("duplicate member");
   q.group = {1, participants};
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_parity("unknown member");
   q.group = good_group;
   q.spec.k = 0;
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_parity("k = 0");
   q.spec = spec;
   q.spec.eval_period = static_cast<PeriodId>(study_->periods.num_periods());
-  EXPECT_EQ(mono->Recommend(q).status().code(),
-            sharded->ValidateQuery(q.group, q.spec).code());
+  expect_parity("period out of range");
 }
 
 TEST_F(ShardedEquivalenceTest, ShardsTouchedMatchesRouterPlacement) {
@@ -448,6 +476,17 @@ TEST_F(ShardedEquivalenceTest, ConcurrentWritersAndPinnedReaders) {
   constexpr std::size_t kBatches = 5;
   constexpr std::size_t kEvents = 12;
 
+  // Globally unique timestamps make the final fold order-independent.
+  const auto writer_events = [](std::size_t t, std::size_t b) {
+    std::vector<RatingEvent> events =
+        RandomEvents(kEvents, 7'000 + t * kBatches + b);
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      events[i].timestamp = static_cast<Timestamp>(
+          3'000'000'000 + ((t * kBatches + b) * kEvents + i));
+    }
+    return events;
+  };
+
   const auto pinned = sharded->Pin();
   const auto before = RunSharded(*sharded, mix);
 
@@ -455,15 +494,8 @@ TEST_F(ShardedEquivalenceTest, ConcurrentWritersAndPinnedReaders) {
   for (std::size_t t = 0; t < kWriters; ++t) {
     workers.emplace_back([&, t] {
       for (std::size_t b = 0; b < kBatches; ++b) {
-        // Globally unique timestamps make the final fold order-independent.
-        std::vector<RatingEvent> events =
-            RandomEvents(kEvents, 7'000 + t * kBatches + b);
-        for (std::size_t i = 0; i < events.size(); ++i) {
-          events[i].timestamp = static_cast<Timestamp>(
-              3'000'000'000 + ((t * kBatches + b) * kEvents + i));
-        }
         ShardedUpdateReport report;
-        EXPECT_TRUE(sharded->ApplyUpdates(events, &report).ok());
+        EXPECT_TRUE(sharded->ApplyUpdates(writer_events(t, b), &report).ok());
         EXPECT_EQ(report.total.events_applied +
                       report.total.events_ignored_stale,
                   kEvents);
@@ -490,24 +522,19 @@ TEST_F(ShardedEquivalenceTest, ConcurrentWritersAndPinnedReaders) {
   });
   for (auto& w : workers) w.join();
 
-  // Post-join determinism check: the same events through a fresh sharded
-  // engine AND a monolithic engine (any application order — timestamps are
-  // unique) give the final state's recommendations.
-  const auto mono = MakeMono();
+  // Post-join determinism check: the same events through a one-shard engine
+  // (any application order — timestamps are unique) give the final state's
+  // recommendations.
+  const auto one = MakeOneShard();
   std::vector<RatingEvent> all;
   for (std::size_t t = 0; t < kWriters; ++t) {
     for (std::size_t b = 0; b < kBatches; ++b) {
-      std::vector<RatingEvent> events =
-          RandomEvents(kEvents, 7'000 + t * kBatches + b);
-      for (std::size_t i = 0; i < events.size(); ++i) {
-        events[i].timestamp = static_cast<Timestamp>(
-            3'000'000'000 + ((t * kBatches + b) * kEvents + i));
-      }
+      const std::vector<RatingEvent> events = writer_events(t, b);
       all.insert(all.end(), events.begin(), events.end());
     }
   }
-  ASSERT_TRUE(mono->ApplyUpdates(all).ok());
-  ExpectBitIdentical(RunMono(*mono, mix), RunSharded(*sharded, mix),
+  ASSERT_TRUE(one->ApplyUpdates(all).ok());
+  ExpectBitIdentical(RunSharded(*one, mix), RunSharded(*sharded, mix),
                      "post-concurrency");
 }
 

@@ -1,8 +1,8 @@
-// Tests for the snapshot-centric serving API: RCU-style publish semantics
-// (pinned generations are immutable under concurrent updates), the
-// live-update path (ApplyUpdates rebuilds predictions + index rows +
-// tombstones), the snapshot-scoped period-list cache, and the
-// affinity-swap-mid-batch regression the old API documented as racy.
+// Tests for the engine's pinned-set serving contract: RCU-style publish
+// semantics (pinned generations are immutable under concurrent updates),
+// the live-update path (ApplyUpdates rebuilds index rows + tombstones), the
+// binding-scoped period-list cache, affinity swaps (UpdateAffinitySource),
+// the release of pre-write generations, and racing publishers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,9 +12,10 @@
 #include <thread>
 #include <vector>
 
-#include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/rng.h"
+#include "shard/sharded_engine.h"
+#include "test_util.h"
 
 namespace greca {
 namespace {
@@ -31,29 +32,60 @@ class SnapshotTest : public ::testing::Test {
     FacebookStudyConfig sc;
     sc.diversity_pool = 200;
     study_ = new FacebookStudy(GenerateFacebookStudy(sc, *universe_));
+    tables_ = new testing::StudyTables(*study_);
   }
   static void TearDownTestSuite() {
+    delete tables_;
+    tables_ = nullptr;
     delete study_;
     delete universe_;
     study_ = nullptr;
     universe_ = nullptr;
   }
 
-  static std::unique_ptr<Engine> MakeEngine(std::size_t threads = 4) {
-    RecommenderOptions options;
+  static ShardedEngineOptions Options(std::size_t threads,
+                                      std::size_t shards) {
+    ShardedEngineOptions options;
+    options.num_shards = shards;
     options.max_candidate_items = 400;
-    EngineOptions eopts;
-    eopts.num_threads = threads;
-    return std::make_unique<Engine>(*universe_, *study_, options, eopts);
+    options.batch_threads = threads;
+    return options;
+  }
+
+  /// One shard by default, so "the generation" is shard 0's.
+  static std::unique_ptr<ShardedEngine> MakeEngine(std::size_t threads = 4,
+                                                   std::size_t shards = 1) {
+    return std::make_unique<ShardedEngine>(universe_->dataset, *study_,
+                                           Options(threads, shards));
+  }
+
+  static std::uint64_t Generation(const ShardedEngine& engine) {
+    return engine.shard(0).snapshot()->generation;
+  }
+
+  /// A study-table source wrapped in a decay decorator (decay 1 = identity).
+  static std::shared_ptr<const AffinitySource> Decayed(double decay) {
+    return std::make_shared<DecayWeightedAffinitySource>(
+        std::make_shared<StudyAffinitySource>(tables_->static_counts,
+                                              tables_->periodic),
+        decay);
+  }
+
+  static void ExpectSame(const Result<Recommendation>& a,
+                         const Result<Recommendation>& b,
+                         const std::string& where) {
+    ASSERT_TRUE(a.ok()) << where;
+    ASSERT_TRUE(b.ok()) << where;
+    EXPECT_EQ(a.value().items, b.value().items) << where;
+    EXPECT_EQ(a.value().scores, b.value().scores) << where;
   }
 
   /// A mixed batch exercising all algorithms, models and several periods.
-  static std::vector<Query> MixedBatch(const Engine& engine,
+  static std::vector<Query> MixedBatch(const ShardedEngine& engine,
                                        std::size_t count,
                                        std::uint64_t seed) {
     const auto participants = static_cast<UserId>(study_->num_participants());
-    const auto num_periods =
-        static_cast<PeriodId>(engine.recommender().num_periods());
+    const auto num_periods = static_cast<PeriodId>(engine.num_periods());
     const AffinityModelSpec models[] = {
         AffinityModelSpec::Default(), AffinityModelSpec::Continuous(),
         AffinityModelSpec::TimeAgnostic()};
@@ -101,57 +133,63 @@ class SnapshotTest : public ::testing::Test {
 
   static SyntheticRatings* universe_;
   static FacebookStudy* study_;
+  static testing::StudyTables* tables_;
 };
 
 SyntheticRatings* SnapshotTest::universe_ = nullptr;
 FacebookStudy* SnapshotTest::study_ = nullptr;
+testing::StudyTables* SnapshotTest::tables_ = nullptr;
 
 TEST_F(SnapshotTest, GenerationsIncrementAndReportsFill) {
   auto engine = MakeEngine();
-  const auto g1 = engine->snapshot();
-  EXPECT_EQ(g1->generation(), 1u);
+  const auto g1 = engine->Pin();
+  EXPECT_EQ(g1->shard(0).generation, 1u);
 
-  UpdateReport report;
+  ShardedUpdateReport report;
   ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(16, 7), &report).ok());
-  EXPECT_EQ(report.published_generation, 2u);
-  EXPECT_EQ(report.events_applied, 16u);
-  EXPECT_GE(report.users_rebuilt, 1u);
-  EXPECT_LE(report.users_rebuilt, 16u);
-  EXPECT_EQ(engine->snapshot()->generation(), 2u);
-  // The pinned generation-1 snapshot is untouched.
-  EXPECT_EQ(g1->generation(), 1u);
+  EXPECT_EQ(report.total.published_generation, 2u);
+  EXPECT_EQ(report.total.events_applied, 16u);
+  EXPECT_GE(report.total.users_rebuilt, 1u);
+  EXPECT_LE(report.total.users_rebuilt, 16u);
+  EXPECT_EQ(Generation(*engine), 2u);
+  // The pinned generation-1 set is untouched.
+  EXPECT_EQ(g1->shard(0).generation, 1u);
 
-  // Affinity swaps publish too.
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-  ASSERT_TRUE(engine
-                  ->UpdateAffinitySource(
-                      std::make_shared<DecayWeightedAffinitySource>(base, 0.5))
-                  .ok());
-  EXPECT_EQ(engine->snapshot()->generation(), 3u);
+  // Affinity swaps rebind without publishing rows: same generation, but the
+  // next pin is a new set carrying the new source.
+  ASSERT_TRUE(engine->UpdateAffinitySource(Decayed(0.5)).ok());
+  EXPECT_EQ(Generation(*engine), 2u);
+  EXPECT_NE(engine->Pin().get(), g1.get());
 
-  // Empty batches publish nothing (every generation means a state change).
+  // Empty batches publish nothing (every generation means a state change)
+  // and still report the current generation.
   ASSERT_TRUE(engine->ApplyUpdates({}, &report).ok());
-  EXPECT_EQ(report.events_applied, 0u);
-  EXPECT_EQ(engine->snapshot()->generation(), 3u);
+  EXPECT_EQ(report.total.events_applied, 0u);
+  EXPECT_EQ(report.total.published_generation, 2u);
+  EXPECT_EQ(Generation(*engine), 2u);
 }
 
 TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
-  auto engine = MakeEngine();
+  auto engine = MakeEngine(/*threads=*/4, /*shards=*/2);
+  const auto generations = [&engine] {
+    return std::vector<std::uint64_t>{
+        engine->shard(0).snapshot()->generation,
+        engine->shard(1).snapshot()->generation};
+  };
+  const std::vector<std::uint64_t> initial = generations();
   std::vector<RatingEvent> events = RandomEvents(4, 11);
-  events[2].user = 10'000;  // unknown study participant
+  events[2].user = 10'000;  // unknown user
   auto status = engine->ApplyUpdates(events);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine->snapshot()->generation(), 1u) << "nothing published";
+  EXPECT_EQ(generations(), initial) << "nothing published on any shard";
 
   events = RandomEvents(4, 13);
   events[0].item = 1'000'000;  // unknown universe item
   status = engine->ApplyUpdates(events);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kNotFound);
-  EXPECT_EQ(engine->snapshot()->generation(), 1u);
+  EXPECT_EQ(generations(), initial);
 
   // Non-finite ratings would poison the fold (NaN similarities) forever.
   events = RandomEvents(4, 19);
@@ -159,73 +197,48 @@ TEST_F(SnapshotTest, InvalidEventsRejectAtomically) {
   status = engine->ApplyUpdates(events);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(engine->snapshot()->generation(), 1u);
+  EXPECT_EQ(generations(), initial);
 
-  // A null explicit snapshot is a Status, not a crash.
+  // A null explicit set is a Status, not a crash.
   Query query;
   query.group = {4, 17};
   query.spec.k = 3;
-  const auto null_snap = engine->Recommend(query, nullptr);
-  ASSERT_FALSE(null_snap.ok());
-  EXPECT_EQ(null_snap.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(SnapshotTest, WrappingEngineRejectsUpdates) {
-  auto engine = MakeEngine();
-  Engine wrapping(engine->recommender());
-  EXPECT_EQ(wrapping.ApplyUpdates(RandomEvents(2, 3)).code(),
-            StatusCode::kFailedPrecondition);
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-  EXPECT_EQ(wrapping.UpdateAffinitySource(base).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_EQ(wrapping.UpdateAffinitySource(nullptr).code(),
-            StatusCode::kInvalidArgument);
-
-  // But it serves snapshots its owner publishes.
-  ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(4, 5)).ok());
-  EXPECT_EQ(wrapping.snapshot()->generation(), 2u);
+  const auto null_set = engine->Recommend(nullptr, query.group, query.spec);
+  ASSERT_FALSE(null_set.ok());
+  EXPECT_EQ(null_set.status().code(), StatusCode::kInvalidArgument);
 }
 
 // The tentpole guarantee: a batch pinned to generation G returns
 // bit-identical results whether or not updates publish G+1 (and G+2, ...)
 // mid-stream. Randomized over groups, specs and event batches.
 TEST_F(SnapshotTest, PinnedBatchIsImmuneToConcurrentPublishes) {
-  auto engine = MakeEngine();
+  auto engine = MakeEngine(/*threads=*/4, /*shards=*/2);
   for (std::uint64_t trial = 0; trial < 6; ++trial) {
-    const auto pinned = engine->snapshot();
+    const auto pinned = engine->Pin();
     const std::vector<Query> batch = MixedBatch(*engine, 24, 100 + trial);
-    const auto before = engine->RecommendBatch(batch, pinned);
+    const auto before = engine->RecommendBatch(pinned, batch);
 
-    // Publish one or two newer generations: rating updates always, an
-    // affinity swap on odd trials.
+    // Publish newer generations: rating updates always, an affinity swap on
+    // odd trials.
     ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(32, 200 + trial)).ok());
     if (trial % 2 == 1) {
-      auto base = std::make_shared<StudyAffinitySource>(
-          engine->recommender().static_affinity(),
-          engine->recommender().periodic_affinity());
       ASSERT_TRUE(engine
                       ->UpdateAffinitySource(
-                          std::make_shared<DecayWeightedAffinitySource>(
-                              base, 0.5 + 0.1 * static_cast<double>(trial)))
+                          Decayed(0.5 + 0.1 * static_cast<double>(trial)))
                       .ok());
     }
-    EXPECT_GT(engine->snapshot()->generation(), pinned->generation());
+    EXPECT_NE(engine->Pin().get(), pinned.get());
 
-    // Replaying against the pinned snapshot is bit-identical.
-    const auto after = engine->RecommendBatch(batch, pinned);
+    // Replaying against the pinned set is bit-identical.
+    const auto after = engine->RecommendBatch(pinned, batch);
     ASSERT_EQ(before.size(), after.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(before[i].ok()) << "trial " << trial << " query " << i;
-      ASSERT_TRUE(after[i].ok()) << "trial " << trial << " query " << i;
-      EXPECT_EQ(before[i].value().items, after[i].value().items)
-          << "trial " << trial << " query " << i;
-      EXPECT_EQ(before[i].value().scores, after[i].value().scores)
-          << "trial " << trial << " query " << i;
+      ExpectSame(before[i], after[i],
+                 "trial " + std::to_string(trial) + " query " +
+                     std::to_string(i));
     }
 
-    // The current snapshot serves the same batch without error (results may
+    // The current set serves the same batch without error (results may
     // legitimately differ — the data changed).
     for (const auto& r : engine->RecommendBatch(batch)) {
       EXPECT_TRUE(r.ok());
@@ -242,7 +255,7 @@ TEST_F(SnapshotTest, AppliedRatingsTombstoneRecommendedItems) {
   query.spec.k = 5;
   query.spec.num_candidate_items = 400;
 
-  const auto before = engine->Recommend(query);
+  const auto before = engine->Recommend(query.group, query.spec);
   ASSERT_TRUE(before.ok());
   ASSERT_FALSE(before.value().items.empty());
   const ItemId top = before.value().items[0];
@@ -253,24 +266,25 @@ TEST_F(SnapshotTest, AppliedRatingsTombstoneRecommendedItems) {
   }
   ASSERT_TRUE(engine->ApplyUpdates(events).ok());
 
-  const auto after = engine->Recommend(query);
+  const auto after = engine->Recommend(query.group, query.spec);
   ASSERT_TRUE(after.ok());
   for (const ItemId item : after.value().items) {
     EXPECT_NE(item, top) << "group-rated item still recommended";
   }
-  // The update also lands in the snapshot's merged ratings view (the delta
+  // The update also lands in the shard's merged ratings view (the delta
   // log, not the immutable base).
-  EXPECT_TRUE(engine->snapshot()->ratings().HasRating(4, top));
-  EXPECT_FALSE(engine->snapshot()->ratings().base().HasRating(4, top));
+  const auto snap = engine->shard(0).snapshot();
+  EXPECT_TRUE(snap->ratings->HasRating(4, top));
+  EXPECT_FALSE(snap->ratings->base().HasRating(4, top));
 }
 
 // Period-list cache: the first query for a (group, period) materializes, a
-// repeated group served from the same snapshot rebuilds nothing.
+// repeated group served under the same binding rebuilds nothing.
 TEST_F(SnapshotTest, PeriodCacheHitsOnRepeatedGroups) {
   auto engine = MakeEngine();
-  const auto snap = engine->snapshot();
-  const auto last_period =
-      static_cast<PeriodId>(engine->recommender().num_periods() - 1);
+  const auto snap = engine->Pin();
+  const PeriodListCache& cache = snap->period_cache();
+  const auto last_period = static_cast<PeriodId>(engine->num_periods() - 1);
   const std::size_t periods = static_cast<std::size_t>(last_period) + 1;
 
   Query query;
@@ -279,72 +293,141 @@ TEST_F(SnapshotTest, PeriodCacheHitsOnRepeatedGroups) {
   query.spec.num_candidate_items = 400;
   query.spec.eval_period = last_period;  // touches every period list
 
-  EXPECT_EQ(snap->period_cache_hits(), 0u);
-  EXPECT_EQ(snap->period_cache_misses(), 0u);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.misses(), 0u);
 
-  ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  EXPECT_EQ(snap->period_cache_misses(), periods);
-  EXPECT_EQ(snap->period_cache_hits(), 0u);
-  EXPECT_EQ(snap->period_cache_size(), periods);
+  ASSERT_TRUE(engine->Recommend(snap, query.group, query.spec).ok());
+  EXPECT_EQ(cache.misses(), periods);
+  EXPECT_EQ(cache.hits(), 0u);
+  EXPECT_EQ(cache.size(), periods);
 
   // Second identical query: zero pair-list rebuild work — every period list
   // is a cache hit and no new list is materialized.
-  ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  EXPECT_EQ(snap->period_cache_misses(), periods) << "no rebuild on repeat";
-  EXPECT_EQ(snap->period_cache_hits(), periods);
-  EXPECT_EQ(snap->period_cache_size(), periods);
+  ASSERT_TRUE(engine->Recommend(snap, query.group, query.spec).ok());
+  EXPECT_EQ(cache.misses(), periods) << "no rebuild on repeat";
+  EXPECT_EQ(cache.hits(), periods);
+  EXPECT_EQ(cache.size(), periods);
 
   // A different group misses again (cache is keyed by (group, period)).
   Query other = query;
   other.group = {3, 11};
-  ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(snap->period_cache_misses(), 2 * periods);
-  EXPECT_EQ(snap->period_cache_size(), 2 * periods);
+  ASSERT_TRUE(engine->Recommend(snap, other.group, other.spec).ok());
+  EXPECT_EQ(cache.misses(), 2 * periods);
+  EXPECT_EQ(cache.size(), 2 * periods);
 
-  EXPECT_GT(snap->PeriodCacheMemoryBytes(), 0u);
+  EXPECT_GT(cache.MemoryBytes(), 0u);
 
-  // Rating updates do not change the affinity binding, so the next
-  // generation CARRIES the cache — the repeated group stays warm across a
-  // steady update stream.
+  // Rating updates do not change the affinity binding, so the next set
+  // SHARES the cache — the repeated group stays warm across a steady update
+  // stream.
   ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(4, 17)).ok());
-  const auto next = engine->snapshot();
-  EXPECT_EQ(next->period_cache_size(), 2 * periods);
-  EXPECT_EQ(next->period_cache_misses(), 2 * periods);
-  const auto hits_before = next->period_cache_hits();
-  ASSERT_TRUE(engine->Recommend(query, next).ok());
-  EXPECT_EQ(next->period_cache_misses(), 2 * periods) << "still warm";
-  EXPECT_EQ(next->period_cache_hits(), hits_before + periods);
+  const auto next = engine->Pin();
+  ASSERT_NE(next.get(), snap.get());
+  EXPECT_EQ(&next->period_cache(), &cache);
+  const auto hits_before = cache.hits();
+  ASSERT_TRUE(engine->Recommend(next, query.group, query.spec).ok());
+  EXPECT_EQ(cache.misses(), 2 * periods) << "still warm";
+  EXPECT_EQ(cache.hits(), hits_before + periods);
 
-  // An affinity-source swap DOES change the lists: its generation starts a
-  // cold cache, and dropping the old generations drops theirs.
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
-  ASSERT_TRUE(engine
-                  ->UpdateAffinitySource(
-                      std::make_shared<DecayWeightedAffinitySource>(base, 0.7))
-                  .ok());
-  const auto swapped = engine->snapshot();
-  EXPECT_EQ(swapped->period_cache_misses(), 0u);
-  EXPECT_EQ(swapped->period_cache_size(), 0u);
-  EXPECT_EQ(swapped->PeriodCacheMemoryBytes(), 0u);
+  // An affinity-source swap DOES change the lists: sets pinned after it
+  // start a cold cache, while the earlier sets keep theirs.
+  ASSERT_TRUE(engine->UpdateAffinitySource(Decayed(0.7)).ok());
+  const auto swapped = engine->Pin();
+  EXPECT_NE(&swapped->period_cache(), &cache);
+  EXPECT_EQ(swapped->period_cache().misses(), 0u);
+  EXPECT_EQ(swapped->period_cache().size(), 0u);
+  EXPECT_EQ(swapped->period_cache().MemoryBytes(), 0u);
+  EXPECT_EQ(cache.size(), 2 * periods);
+}
+
+// A swap binds the new source to every set pinned after it and to none
+// pinned before; a rejected (null) swap changes nothing.
+TEST_F(SnapshotTest, UpdateAffinitySourceBindsOnlyLaterPins) {
+  auto engine = MakeEngine(/*threads=*/2, /*shards=*/2);
+  const std::vector<Query> batch = MixedBatch(*engine, 16, 31);
+  const auto before_set = engine->Pin();
+  const auto before = engine->RecommendBatch(before_set, batch);
+
+  EXPECT_EQ(engine->UpdateAffinitySource(nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine->Pin(), before_set) << "a rejected swap rebinds nothing";
+
+  const std::shared_ptr<const AffinitySource> decayed = Decayed(0.3);
+  ASSERT_TRUE(engine->UpdateAffinitySource(decayed).ok());
+  const auto after_set = engine->Pin();
+  EXPECT_EQ(&after_set->affinity(), decayed.get());
+  EXPECT_EQ(&engine->affinity(), decayed.get());
+  EXPECT_NE(&before_set->affinity(), decayed.get());
+  EXPECT_EQ(after_set->period_cache().size(), 0u) << "cold cache";
+  // Both sets hold the same row generations: only the binding differs.
+  for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+    EXPECT_EQ(after_set->shard_ptr(s), before_set->shard_ptr(s));
+  }
+
+  // The earlier pin still answers with the old source, bit-identically.
+  const auto replay = engine->RecommendBatch(before_set, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ExpectSame(before[i], replay[i], "query " + std::to_string(i));
+  }
+  // The later pin answers exactly like a fresh engine bound to the same
+  // source from the start.
+  auto fresh = MakeEngine(/*threads=*/2, /*shards=*/2);
+  ASSERT_TRUE(fresh->UpdateAffinitySource(decayed).ok());
+  const auto expected = fresh->RecommendBatch(batch);
+  const auto rebound = engine->RecommendBatch(after_set, batch);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    ExpectSame(expected[i], rebound[i], "query " + std::to_string(i));
+  }
+}
+
+// The engine caches the last set it handed out (Pin reuse). A publish must
+// not let that cache keep the pre-write generation alive: once ApplyUpdates
+// returns and the caller holds no pin, the old generation is freed. A batch
+// that publishes nothing keeps the cached set.
+TEST_F(SnapshotTest, PublishReleasesThePreviousPin) {
+  auto engine = MakeEngine(/*threads=*/1, /*shards=*/2);
+  RatingEvent e;
+  e.user = 4;
+  e.item = 7;
+  e.rating = 4.0;
+  e.timestamp = 2'000'000'000;
+  const std::size_t written = engine->router().ShardOf(e.user);
+  const std::size_t other = 1 - written;
+
+  auto pin = engine->Pin();
+  const std::weak_ptr<const ShardSnapshot> pre_write = pin->shard_ptr(written);
+  const std::weak_ptr<const ShardSnapshot> untouched = pin->shard_ptr(other);
+  pin.reset();
+  ASSERT_TRUE(engine->ApplyUpdates({&e, 1}).ok());
+  EXPECT_TRUE(pre_write.expired()) << "pre-write generation still held";
+  EXPECT_FALSE(untouched.expired()) << "the shard still serves it";
+
+  // An all-stale batch publishes nothing: the cached set survives and the
+  // next pin reuses it.
+  auto cached = engine->Pin();
+  const std::weak_ptr<const ShardedSnapshotSet> weak_cached = cached;
+  cached.reset();
+  ShardedUpdateReport report;
+  ASSERT_TRUE(engine->ApplyUpdates({&e, 1}, &report).ok());
+  EXPECT_EQ(report.total.events_ignored_stale, 1u);
+  ASSERT_FALSE(weak_cached.expired());
+  EXPECT_EQ(engine->Pin(), weak_cached.lock());
 }
 
 // The period-list cache is bounded: entries past the cap evict least
 // recently used, the eviction counter sits next to hit/miss, and a
-// GetShared/PeriodListShared copy held by a query survives its own eviction.
+// GetShared copy held by a query survives its own eviction.
 TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   const auto last_period =
       static_cast<PeriodId>(study_->periods.num_periods() - 1);
   const std::size_t periods = static_cast<std::size_t>(last_period) + 1;
 
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
+  ShardedEngineOptions options = Options(/*threads=*/2, /*shards=*/1);
   options.period_cache_max_entries = periods;  // exactly one group fits
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  auto engine = std::make_unique<Engine>(*universe_, *study_, options, eopts);
-  const auto snap = engine->snapshot();
+  auto engine = std::make_unique<ShardedEngine>(universe_->dataset, *study_,
+                                                options);
+  const auto snap = engine->Pin();
+  PeriodListCache& cache = snap->period_cache();
 
   Query query;
   query.group = {4, 17, 29};
@@ -353,39 +436,38 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   query.spec.eval_period = last_period;  // touches every period list
 
   // Group A fills the cache to the cap without evicting.
-  ASSERT_TRUE(engine->Recommend(query, snap).ok());
-  const auto first = engine->Recommend(query, snap);
+  ASSERT_TRUE(engine->Recommend(snap, query.group, query.spec).ok());
+  const auto first = engine->Recommend(snap, query.group, query.spec);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(snap->period_cache_size(), periods);
-  EXPECT_EQ(snap->period_cache_evictions(), 0u);
-  EXPECT_EQ(snap->period_cache_hits(), periods) << "repeat was all hits";
+  EXPECT_EQ(cache.size(), periods);
+  EXPECT_EQ(cache.evictions(), 0u);
+  EXPECT_EQ(cache.hits(), periods) << "repeat was all hits";
 
   // Hold one of A's lists across the churn below.
   const std::shared_ptr<const SortedList> pinned =
-      snap->PeriodListShared(query.group, 0);
+      cache.GetShared(query.group, 0, snap->affinity());
 
   // Group B displaces A entry by entry; the size never passes the cap.
   Query other = query;
   other.group = {3, 11};
-  ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(snap->period_cache_size(), periods);
-  EXPECT_EQ(snap->period_cache_evictions(), periods);
+  ASSERT_TRUE(engine->Recommend(snap, other.group, other.spec).ok());
+  EXPECT_EQ(cache.size(), periods);
+  EXPECT_EQ(cache.evictions(), periods);
 
   // B is resident (all hits), A was evicted (all misses again) — LRU, not
   // random or insertion-order eviction.
-  const auto hits_before = snap->period_cache_hits();
-  const auto misses_before = snap->period_cache_misses();
-  ASSERT_TRUE(engine->Recommend(other, snap).ok());
-  EXPECT_EQ(snap->period_cache_hits(), hits_before + periods);
-  EXPECT_EQ(snap->period_cache_misses(), misses_before);
-  const auto replay = engine->Recommend(query, snap);
+  const auto hits_before = cache.hits();
+  const auto misses_before = cache.misses();
+  ASSERT_TRUE(engine->Recommend(snap, other.group, other.spec).ok());
+  EXPECT_EQ(cache.hits(), hits_before + periods);
+  EXPECT_EQ(cache.misses(), misses_before);
+  const auto replay = engine->Recommend(snap, query.group, query.spec);
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(snap->period_cache_misses(), misses_before + periods)
+  EXPECT_EQ(cache.misses(), misses_before + periods)
       << "evicted lists rebuild from scratch";
 
   // Eviction is invisible to results: the rebuilt lists answer identically.
-  EXPECT_EQ(first.value().items, replay.value().items);
-  EXPECT_EQ(first.value().scores, replay.value().scores);
+  ExpectSame(first, replay, "replay");
 
   // The held copy outlived its eviction and still matches a direct
   // materialization.
@@ -398,27 +480,27 @@ TEST_F(SnapshotTest, PeriodCacheEvictsLeastRecentlyUsedPastCap) {
   }
 
   // An unbounded cache (cap 0) never evicts under the same workload.
-  RecommenderOptions unbounded = options;
+  ShardedEngineOptions unbounded = options;
   unbounded.period_cache_max_entries = 0;
-  auto engine2 =
-      std::make_unique<Engine>(*universe_, *study_, unbounded, eopts);
-  const auto snap2 = engine2->snapshot();
-  ASSERT_TRUE(engine2->Recommend(query, snap2).ok());
-  ASSERT_TRUE(engine2->Recommend(other, snap2).ok());
-  EXPECT_EQ(snap2->period_cache_size(), 2 * periods);
-  EXPECT_EQ(snap2->period_cache_evictions(), 0u);
+  auto engine2 = std::make_unique<ShardedEngine>(universe_->dataset, *study_,
+                                                 unbounded);
+  const auto snap2 = engine2->Pin();
+  ASSERT_TRUE(engine2->Recommend(snap2, query.group, query.spec).ok());
+  ASSERT_TRUE(engine2->Recommend(snap2, other.group, other.spec).ok());
+  EXPECT_EQ(snap2->period_cache().size(), 2 * periods);
+  EXPECT_EQ(snap2->period_cache().evictions(), 0u);
 }
 
 // Cached lists must be identical to freshly materialized ones (the cache is
 // a pure memoization, not an approximation).
 TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
   auto engine = MakeEngine();
-  const auto snap = engine->snapshot();
+  const auto snap = engine->Pin();
+  PeriodListCache& cache = snap->period_cache();
   const std::vector<UserId> group = {2, 9, 23, 31};
-  const auto last_period =
-      static_cast<PeriodId>(engine->recommender().num_periods() - 1);
+  const auto last_period = static_cast<PeriodId>(engine->num_periods() - 1);
   for (PeriodId p = 0; p <= last_period; ++p) {
-    const SortedList& cached = snap->PeriodList(group, p);
+    const SortedList& cached = cache.Get(group, p, snap->affinity());
     const SortedList direct = snap->affinity().MaterializePeriodList(group, p);
     ASSERT_EQ(cached.size(), direct.size()) << "period " << p;
     for (std::size_t i = 0; i < direct.size(); ++i) {
@@ -427,48 +509,39 @@ TEST_F(SnapshotTest, CachedPeriodListsMatchDirectMaterialization) {
           << "period " << p;
     }
     // Second lookup returns the same stable address.
-    EXPECT_EQ(&snap->PeriodList(group, p), &cached);
+    EXPECT_EQ(&cache.Get(group, p, snap->affinity()), &cached);
   }
 }
 
-// Regression for the old documented race: swapping the affinity source while
-// batches are in flight. Under ASan/TSan this must be clean, and every
-// result must be either the old or the new source's answer — never a blend.
+// Swapping the affinity source while batches are in flight. Under ASan/TSan
+// this must be clean, and every result must be either the old or the new
+// source's answer — never a blend.
 TEST_F(SnapshotTest, AffinitySwapMidBatchIsSafe) {
-  auto engine = MakeEngine(/*threads=*/3);
+  auto engine = MakeEngine(/*threads=*/3, /*shards=*/2);
   const std::vector<Query> batch = MixedBatch(*engine, 32, 424);
-
-  auto base = std::make_shared<StudyAffinitySource>(
-      engine->recommender().static_affinity(),
-      engine->recommender().periodic_affinity());
+  const std::shared_ptr<const AffinitySource> sources[] = {Decayed(1.0),
+                                                           Decayed(0.3)};
 
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     std::uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const double decay = (i++ % 2 == 0) ? 1.0 : 0.3;
-      ASSERT_TRUE(engine
-                      ->UpdateAffinitySource(
-                          std::make_shared<DecayWeightedAffinitySource>(base,
-                                                                        decay))
-                      .ok());
+      ASSERT_TRUE(engine->UpdateAffinitySource(sources[i++ % 2]).ok());
       std::this_thread::yield();
     }
   });
 
-  // Consistency oracle: each batch pins one snapshot, so its results must
-  // equal a sequential replay against that same snapshot.
+  // Consistency oracle: each batch pins one set, so its results must equal
+  // a sequential replay against that same set.
   for (int round = 0; round < 8; ++round) {
-    const auto pinned = engine->snapshot();
-    const auto results = engine->RecommendBatch(batch, pinned);
+    const auto pinned = engine->Pin();
+    const auto results = engine->RecommendBatch(pinned, batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      ASSERT_TRUE(results[i].ok()) << "round " << round << " query " << i;
-      const auto replay = engine->Recommend(batch[i], pinned);
-      ASSERT_TRUE(replay.ok());
-      EXPECT_EQ(results[i].value().items, replay.value().items)
-          << "round " << round << " query " << i;
-      EXPECT_EQ(results[i].value().scores, replay.value().scores)
-          << "round " << round << " query " << i;
+      const auto replay =
+          engine->Recommend(pinned, batch[i].group, batch[i].spec);
+      ExpectSame(results[i], replay,
+                 "round " + std::to_string(round) + " query " +
+                     std::to_string(i));
     }
   }
   stop.store(true);
@@ -476,9 +549,8 @@ TEST_F(SnapshotTest, AffinitySwapMidBatchIsSafe) {
 }
 
 // Rating updates racing a query stream: queries must never crash or error,
-// and every RecommendBatch must be internally consistent with the one
-// snapshot it pinned. (The ASan/TSan CI jobs turn latent races into
-// failures here.)
+// and every RecommendBatch must be internally consistent with the one set it
+// pinned. (The ASan/TSan CI jobs turn latent races into failures here.)
 TEST_F(SnapshotTest, RatingUpdatesRacingQueriesAreSafe) {
   auto engine = MakeEngine(/*threads=*/3);
   const std::vector<Query> batch = MixedBatch(*engine, 24, 777);
@@ -499,11 +571,60 @@ TEST_F(SnapshotTest, RatingUpdatesRacingQueriesAreSafe) {
   }
   stop.store(true);
   writer.join();
-  EXPECT_GT(engine->snapshot()->generation(), 1u);
+  EXPECT_GT(Generation(*engine), 1u);
 }
 
-// A GroupProblem built from a snapshot stays valid after newer generations
-// publish (the problem shares ownership of the snapshot it aliases).
+// Racing publishers: two writers publishing to different shards, a thread
+// swapping the affinity source, and a reader pinning sets — the pin-release
+// path, the swap and Pin() reuse all contend on the engine's pin lock.
+// Every batch must equal a sequential replay on its own pinned set.
+TEST_F(SnapshotTest, RacingPublishersSwapsAndPinsStayConsistent) {
+  auto engine = MakeEngine(/*threads=*/2, /*shards=*/2);
+  const std::vector<Query> batch = MixedBatch(*engine, 12, 909);
+  // Events split by owning shard, so each writer publishes its own shard.
+  std::vector<RatingEvent> per_shard[2];
+  for (const RatingEvent& e : RandomEvents(64, 5)) {
+    per_shard[engine->router().ShardOf(e.user)].push_back(e);
+  }
+  const std::shared_ptr<const AffinitySource> sources[] = {Decayed(1.0),
+                                                           Decayed(0.5)};
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int s = 0; s < 2; ++s) {
+    threads.emplace_back([&, s] {
+      Timestamp ts = 3'000'000'000 + static_cast<Timestamp>(s) * 1'000'000;
+      while (!stop.load(std::memory_order_relaxed)) {
+        std::vector<RatingEvent> events = per_shard[s];
+        for (RatingEvent& e : events) e.timestamp = ts++;
+        ASSERT_TRUE(engine->ApplyUpdates(events).ok());
+      }
+    });
+  }
+  threads.emplace_back([&] {
+    std::uint64_t i = 0;
+    while (!stop.load(std::memory_order_relaxed)) {
+      ASSERT_TRUE(engine->UpdateAffinitySource(sources[i++ % 2]).ok());
+      std::this_thread::yield();
+    }
+  });
+
+  for (int round = 0; round < 6; ++round) {
+    const auto pinned = engine->Pin();
+    const auto results = engine->RecommendBatch(pinned, batch);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      ExpectSame(results[i],
+                 engine->Recommend(pinned, batch[i].group, batch[i].spec),
+                 "round " + std::to_string(round) + " query " +
+                     std::to_string(i));
+    }
+  }
+  stop.store(true);
+  for (std::thread& t : threads) t.join();
+}
+
+// A GroupProblem built from a set stays valid after newer generations
+// publish (the problem shares ownership of the set it aliases).
 TEST_F(SnapshotTest, ProblemOutlivesRetiredGeneration) {
   auto engine = MakeEngine();
   const std::vector<UserId> group = {4, 17, 29};
@@ -511,14 +632,13 @@ TEST_F(SnapshotTest, ProblemOutlivesRetiredGeneration) {
   spec.k = 5;
   spec.num_candidate_items = 400;
 
-  auto pinned = engine->snapshot();
-  auto problem =
-      engine->recommender().BuildProblem(pinned, group, spec);
+  auto pinned = engine->Pin();
+  auto problem = engine->BuildProblem(pinned, group, spec);
   ASSERT_TRUE(problem.ok());
   const double score_before = problem.value().ExactScore(0);
 
-  // Retire the generation; drop our own pin. The problem must keep the
-  // snapshot (index rows + cached period lists) alive on its own.
+  // Retire the generation; drop our own pin. The problem must keep the set
+  // (index rows + cached period lists) alive on its own.
   ASSERT_TRUE(engine->ApplyUpdates(RandomEvents(16, 99)).ok());
   pinned.reset();
 
@@ -528,35 +648,35 @@ TEST_F(SnapshotTest, ProblemOutlivesRetiredGeneration) {
 }
 
 // Tombstone cache: the first assembly for a (group, pool) builds the
-// group-rated bitmap, repeats within the same generation hit (bit-identical
-// recs and access counts), a different pool prefix misses again, and a
-// rating update starts a FRESH cache whose bitmaps see the new delta log.
+// group-rated bitmap, repeats on the same set hit (bit-identical recs and
+// access counts), a different pool prefix misses again, and a rating update
+// makes the next pin a FRESH set whose bitmaps see the new delta log.
 TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   auto engine = MakeEngine();
-  const auto snap = engine->snapshot();
+  const auto snap = engine->Pin();
+  const TombstoneCache& tombs = snap->tombstone_cache();
 
   Query query;
   query.group = {4, 17, 29};
   query.spec.k = 5;
   query.spec.num_candidate_items = 400;
 
-  EXPECT_EQ(snap->tombstone_cache_hits(), 0u);
-  EXPECT_EQ(snap->tombstone_cache_misses(), 0u);
+  EXPECT_EQ(tombs.hits(), 0u);
+  EXPECT_EQ(tombs.misses(), 0u);
 
-  const auto first = engine->Recommend(query, snap);
+  const auto first = engine->Recommend(snap, query.group, query.spec);
   ASSERT_TRUE(first.ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 1u);
-  EXPECT_EQ(snap->tombstone_cache_hits(), 0u);
-  EXPECT_EQ(snap->tombstone_cache_size(), 1u);
+  EXPECT_EQ(tombs.misses(), 1u);
+  EXPECT_EQ(tombs.hits(), 0u);
+  EXPECT_EQ(tombs.size(), 1u);
 
   // Identical repeat: the bitmap is served from the memo and nothing about
   // the answer changes — items, scores AND access counts.
-  const auto repeat = engine->Recommend(query, snap);
+  const auto repeat = engine->Recommend(snap, query.group, query.spec);
   ASSERT_TRUE(repeat.ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 1u);
-  EXPECT_EQ(snap->tombstone_cache_hits(), 1u);
-  EXPECT_EQ(repeat.value().items, first.value().items);
-  EXPECT_EQ(repeat.value().scores, first.value().scores);
+  EXPECT_EQ(tombs.misses(), 1u);
+  EXPECT_EQ(tombs.hits(), 1u);
+  ExpectSame(repeat, first, "repeat");
   EXPECT_EQ(repeat.value().raw.accesses.sequential,
             first.value().raw.accesses.sequential);
   EXPECT_EQ(repeat.value().raw.accesses.random,
@@ -565,13 +685,13 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   // A different pool prefix is a different bitmap (keyed by (group, pool)).
   Query narrower = query;
   narrower.spec.num_candidate_items = 100;
-  ASSERT_TRUE(engine->Recommend(narrower, snap).ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 2u);
-  EXPECT_EQ(snap->tombstone_cache_size(), 2u);
-  EXPECT_GT(snap->TombstoneCacheMemoryBytes(), 0u);
+  ASSERT_TRUE(engine->Recommend(snap, narrower.group, narrower.spec).ok());
+  EXPECT_EQ(tombs.misses(), 2u);
+  EXPECT_EQ(tombs.size(), 2u);
+  EXPECT_GT(tombs.MemoryBytes(), 0u);
 
-  // Rate the group's current top pick: the next generation's FRESH cache
-  // must tombstone it (a carried-over bitmap would keep recommending it).
+  // Rate the group's current top pick: the next set's FRESH memo must
+  // tombstone it (a carried-over bitmap would keep recommending it).
   ASSERT_FALSE(first.value().items.empty());
   const ItemId top = first.value().items[0];
   RatingEvent e;
@@ -580,12 +700,12 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
   e.rating = 5.0;
   e.timestamp = 2'000'000'000;
   ASSERT_TRUE(engine->ApplyUpdates({&e, 1}).ok());
-  const auto next = engine->snapshot();
-  EXPECT_EQ(next->tombstone_cache_size(), 0u) << "fresh per generation";
-  EXPECT_EQ(next->tombstone_cache_misses(), 0u);
-  const auto after = engine->Recommend(query, next);
+  const auto next = engine->Pin();
+  EXPECT_EQ(next->tombstone_cache().size(), 0u) << "fresh per generation";
+  EXPECT_EQ(next->tombstone_cache().misses(), 0u);
+  const auto after = engine->Recommend(next, query.group, query.spec);
   ASSERT_TRUE(after.ok());
-  EXPECT_EQ(next->tombstone_cache_misses(), 1u);
+  EXPECT_EQ(next->tombstone_cache().misses(), 1u);
   for (const ItemId item : after.value().items) {
     EXPECT_NE(item, top) << "newly rated item must be excluded";
   }
@@ -595,13 +715,12 @@ TEST_F(SnapshotTest, TombstoneCacheHitsRepeatsAndResetsPerGeneration) {
 // bitmap, the eviction counter records it, and the evicted group still
 // answers identically when it misses back in.
 TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
-  RecommenderOptions options;
-  options.max_candidate_items = 400;
+  ShardedEngineOptions options = Options(/*threads=*/2, /*shards=*/1);
   options.tombstone_cache_max_entries = 1;
-  EngineOptions eopts;
-  eopts.num_threads = 2;
-  auto engine = std::make_unique<Engine>(*universe_, *study_, options, eopts);
-  const auto snap = engine->snapshot();
+  auto engine = std::make_unique<ShardedEngine>(universe_->dataset, *study_,
+                                                options);
+  const auto snap = engine->Pin();
+  const TombstoneCache& tombs = snap->tombstone_cache();
 
   Query a;
   a.group = {4, 17, 29};
@@ -610,18 +729,17 @@ TEST_F(SnapshotTest, TombstoneCacheEvictsLeastRecentlyUsedPastCap) {
   Query b = a;
   b.group = {3, 11};
 
-  const auto a1 = engine->Recommend(a, snap);
+  const auto a1 = engine->Recommend(snap, a.group, a.spec);
   ASSERT_TRUE(a1.ok());
-  ASSERT_TRUE(engine->Recommend(b, snap).ok());  // evicts A's bitmap
-  EXPECT_EQ(snap->tombstone_cache_size(), 1u);
-  EXPECT_EQ(snap->tombstone_cache_evictions(), 1u);
+  ASSERT_TRUE(engine->Recommend(snap, b.group, b.spec).ok());  // evicts A's
+  EXPECT_EQ(tombs.size(), 1u);
+  EXPECT_EQ(tombs.evictions(), 1u);
 
-  const auto a2 = engine->Recommend(a, snap);
+  const auto a2 = engine->Recommend(snap, a.group, a.spec);
   ASSERT_TRUE(a2.ok());
-  EXPECT_EQ(snap->tombstone_cache_misses(), 3u);
-  EXPECT_EQ(snap->tombstone_cache_evictions(), 2u);
-  EXPECT_EQ(a2.value().items, a1.value().items);
-  EXPECT_EQ(a2.value().scores, a1.value().scores);
+  EXPECT_EQ(tombs.misses(), 3u);
+  EXPECT_EQ(tombs.evictions(), 2u);
+  ExpectSame(a2, a1, "a");
 }
 
 }  // namespace

@@ -2,12 +2,12 @@
 //  * the global registry serves the four built-ins and rejects bad
 //    registrations (null, empty id, duplicates) without clobbering;
 //  * enum aliases and explicit solver ids resolve to the same solver, and
-//    unknown ids fail validation — on the builder, the monolithic engine and
-//    the sharded engine alike;
+//    unknown ids fail validation — on the builder and the engine at any
+//    shard count alike;
 //  * the registry-dispatched uniform-weight path is BIT-IDENTICAL (items,
 //    scores, access counts, rounds) to the historical enum-switch — i.e. to
 //    calling Greca/NaiveTopK/TaTopK directly on the same assembled problem —
-//    on both engines and across live publishes on pinned snapshots;
+//    at one shard and at several, and across live publishes on pinned sets;
 //  * a custom registered solver runs end-to-end through QuerySpec::solver_id;
 //  * influence weighting produces genuinely non-uniform weights from the
 //    social graph and flows through every solver with no per-solver code.
@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "api/engine.h"
 #include "api/query_builder.h"
 #include "core/greca.h"
 #include "core/problem_assembly.h"
@@ -52,9 +51,11 @@ class SolverRegistryTest : public ::testing::Test {
     universe_ = nullptr;
   }
 
-  static RecommenderOptions Options() {
-    RecommenderOptions options;
+  static ShardedEngineOptions Options(std::size_t num_shards = 1) {
+    ShardedEngineOptions options;
+    options.num_shards = num_shards;
     options.max_candidate_items = 280;
+    options.batch_threads = 1;
     return options;
   }
 
@@ -131,15 +132,17 @@ TEST_F(SolverRegistryTest, ResolutionPrefersExplicitId) {
 }
 
 TEST_F(SolverRegistryTest, UnknownSolverIdFailsValidationEverywhere) {
-  const GroupRecommender recommender(universe_->dataset, *study_, Options());
+  const ShardedEngine engine(universe_->dataset, *study_, Options());
   QuerySpec spec;
   spec.num_candidate_items = 280;
   spec.solver_id = "definitely-not-registered";
   const std::vector<UserId> group{0, 1, 2};
-  const Status direct = recommender.ValidateQuery(group, spec);
+  const Status direct = engine.ValidateQuery(group, spec);
   EXPECT_EQ(direct.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(engine.Recommend(group, spec).status().code(),
+            StatusCode::kInvalidArgument);
 
-  const Result<Query> built = QueryBuilder(recommender)
+  const Result<Query> built = QueryBuilder(engine)
                                   .Members({0, 1, 2})
                                   .Using("definitely-not-registered")
                                   .CandidatePool(280)
@@ -147,38 +150,35 @@ TEST_F(SolverRegistryTest, UnknownSolverIdFailsValidationEverywhere) {
   EXPECT_FALSE(built.ok());
   EXPECT_EQ(built.status().code(), StatusCode::kInvalidArgument);
 
-  ShardedEngineOptions sopts;
-  sopts.num_shards = 3;
-  sopts.max_candidate_items = 280;
-  const ShardedEngine sharded(universe_->dataset, *study_, sopts);
+  const ShardedEngine sharded(universe_->dataset, *study_, Options(3));
   EXPECT_EQ(sharded.ValidateQuery(group, spec).code(),
             StatusCode::kInvalidArgument);
 }
 
 TEST_F(SolverRegistryTest, GrecaGroupCapEnforcedThroughSolverHook) {
-  const GroupRecommender recommender(universe_->dataset, *study_, Options());
+  const ShardedEngine engine(universe_->dataset, *study_, Options());
   std::vector<UserId> big(33);
   for (UserId u = 0; u < 33; ++u) big[u] = u;
   QuerySpec spec;  // defaults to kGreca
   spec.num_candidate_items = 280;
-  const Status status = recommender.ValidateQuery(big, spec);
+  const Status status = engine.ValidateQuery(big, spec);
   EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(status.message().find("32-member"), std::string::npos);
   // The same group passes for solvers without the cap.
   spec.solver_id = std::string(kNaiveSolverId);
-  EXPECT_TRUE(recommender.ValidateQuery(big, spec).ok());
+  EXPECT_TRUE(engine.ValidateQuery(big, spec).ok());
 }
 
 // The historical enum-switch body, applied to the same assembled problem the
 // registry path solves — the pre-refactor reference.
-Recommendation SolveViaSwitch(const GroupRecommender& recommender,
-                              const std::shared_ptr<const Snapshot>& snap,
-                              const std::vector<UserId>& group,
-                              const QuerySpec& spec) {
+Recommendation SolveViaSwitch(
+    const ShardedEngine& engine,
+    const std::shared_ptr<const ShardedSnapshotSet>& set,
+    const std::vector<UserId>& group, const QuerySpec& spec) {
   QueryWorkspace ws;
   std::vector<ItemId> candidates;
   Result<GroupProblem> problem =
-      recommender.BuildProblem(snap, group, spec, &candidates, &ws);
+      engine.BuildProblem(set, group, spec, &candidates, &ws);
   EXPECT_TRUE(problem.ok());
   Recommendation rec;
   switch (spec.algorithm) {
@@ -204,18 +204,18 @@ Recommendation SolveViaSwitch(const GroupRecommender& recommender,
 }
 
 TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
-  GroupRecommender recommender(universe_->dataset, *study_, Options());
+  ShardedEngine engine(universe_->dataset, *study_, Options(2));
   const std::vector<UserId> group{1, 4, 9, 16};
   const ConsensusSpec consensuses[] = {ConsensusSpec::AveragePreference(),
                                        ConsensusSpec::PairwiseDisagreement()};
   const Algorithm algorithms[] = {Algorithm::kGreca, Algorithm::kNaive,
                                   Algorithm::kTa};
-  // Pin the pre-update snapshot, publish, then check both generations: the
-  // pinned one must still solve bit-identically after the publish.
-  const std::shared_ptr<const Snapshot> before = recommender.snapshot();
-  ASSERT_TRUE(recommender.ApplyRatingUpdates(SomeUpdates()).ok());
-  const std::shared_ptr<const Snapshot> after = recommender.snapshot();
-  ASSERT_NE(before->generation(), after->generation());
+  // Pin the pre-update set, publish, then check both: the pinned one must
+  // still solve bit-identically after the publish.
+  const std::shared_ptr<const ShardedSnapshotSet> before = engine.Pin();
+  ASSERT_TRUE(engine.ApplyUpdates(SomeUpdates()).ok());
+  const std::shared_ptr<const ShardedSnapshotSet> after = engine.Pin();
+  ASSERT_NE(before, after);
 
   for (const auto& snap : {before, after}) {
     for (const ConsensusSpec& consensus : consensuses) {
@@ -226,10 +226,10 @@ TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
         spec.algorithm = algorithm;
         spec.num_candidate_items = 280;
         const Recommendation reference =
-            SolveViaSwitch(recommender, snap, group, spec);
+            SolveViaSwitch(engine, snap, group, spec);
         // Registry dispatch via the enum alias...
         const Result<Recommendation> via_enum =
-            recommender.Recommend(snap, group, spec);
+            engine.Recommend(snap, group, spec);
         ASSERT_TRUE(via_enum.ok());
         ExpectSameRecommendation(via_enum.value(), reference);
         // ...and via the explicit solver id: same bucket, same bits.
@@ -237,7 +237,7 @@ TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
         by_id.algorithm = Algorithm::kGreca;  // alias deliberately "wrong"
         by_id.solver_id = std::string(AlgorithmSolverId(algorithm));
         const Result<Recommendation> via_id =
-            recommender.Recommend(snap, group, by_id);
+            engine.Recommend(snap, group, by_id);
         ASSERT_TRUE(via_id.ok());
         ExpectSameRecommendation(via_id.value(), reference);
       }
@@ -245,13 +245,10 @@ TEST_F(SolverRegistryTest, RegistryPathBitIdenticalToSwitchAcrossPublishes) {
   }
 }
 
-TEST_F(SolverRegistryTest, ShardedRegistryPathMatchesMonolithic) {
-  GroupRecommender mono(universe_->dataset, *study_, Options());
-  ShardedEngineOptions sopts;
-  sopts.num_shards = 4;
-  sopts.max_candidate_items = 280;
-  ShardedEngine sharded(universe_->dataset, *study_, sopts);
-  ASSERT_TRUE(mono.ApplyRatingUpdates(SomeUpdates()).ok());
+TEST_F(SolverRegistryTest, ShardedRegistryPathMatchesOneShard) {
+  ShardedEngine mono(universe_->dataset, *study_, Options());
+  ShardedEngine sharded(universe_->dataset, *study_, Options(4));
+  ASSERT_TRUE(mono.ApplyUpdates(SomeUpdates()).ok());
   ASSERT_TRUE(sharded.ApplyUpdates(SomeUpdates()).ok());
 
   const std::vector<UserId> group{2, 7, 11};
@@ -291,8 +288,8 @@ TEST_F(SolverRegistryTest, CustomSolverRunsEndToEnd) {
       std::make_unique<FirstCandidateSolver>());
   ASSERT_NE(SolverRegistry::Global().Find("test-first-candidate"), nullptr);
 
-  const GroupRecommender recommender(universe_->dataset, *study_, Options());
-  const Result<Query> query = QueryBuilder(recommender)
+  const ShardedEngine engine(universe_->dataset, *study_, Options());
+  const Result<Query> query = QueryBuilder(engine)
                                   .Members({0, 3, 6})
                                   .TopK(4)
                                   .Using("test-first-candidate")
@@ -300,23 +297,20 @@ TEST_F(SolverRegistryTest, CustomSolverRunsEndToEnd) {
                                   .Build();
   ASSERT_TRUE(query.ok());
   const Result<Recommendation> rec =
-      recommender.Recommend(query.value().group, query.value().spec);
+      engine.Recommend(query.value().group, query.value().spec);
   ASSERT_TRUE(rec.ok());
   ASSERT_EQ(rec.value().items.size(), 1u);
   EXPECT_DOUBLE_EQ(rec.value().scores[0], 1.0);
 }
 
 TEST_F(SolverRegistryTest, InfluenceWeightingIsNonUniformAndFlowsEverywhere) {
-  GroupRecommender mono(universe_->dataset, *study_, Options());
-  ShardedEngineOptions sopts;
-  sopts.num_shards = 3;
-  sopts.max_candidate_items = 280;
-  ShardedEngine sharded(universe_->dataset, *study_, sopts);
+  ShardedEngine mono(universe_->dataset, *study_, Options());
+  ShardedEngine sharded(universe_->dataset, *study_, Options(3));
 
   // The study graph yields genuinely non-uniform influence weights.
   const std::vector<UserId> group{0, 5, 10, 20};
   std::vector<double> weights(group.size());
-  mono.snapshot()->affinity().MaterializeMemberWeightsInto(group, weights);
+  mono.affinity().MaterializeMemberWeightsInto(group, weights);
   bool non_uniform = false;
   for (const double w : weights) {
     EXPECT_GT(w, 0.0);
@@ -334,7 +328,7 @@ TEST_F(SolverRegistryTest, InfluenceWeightingIsNonUniformAndFlowsEverywhere) {
     const Result<Recommendation> weighted = mono.Recommend(group, spec);
     ASSERT_TRUE(weighted.ok()) << id;
     EXPECT_FALSE(weighted.value().items.empty()) << id;
-    // Both engines agree under influence weighting, for every solver.
+    // Both shard counts agree under influence weighting, for every solver.
     const Result<Recommendation> sharded_weighted =
         sharded.Recommend(group, spec);
     ASSERT_TRUE(sharded_weighted.ok()) << id;

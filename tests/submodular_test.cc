@@ -5,16 +5,16 @@
 //    orthogonal tastes the greedy list covers every member where the exact
 //    ranking serves only the majority taste;
 //  * reported scores are marginal gains, non-increasing by submodularity;
-//  * the solver runs end-to-end through QueryBuilder, Engine::Recommend and
-//    RecommendBatch (planned bit-identical to unplanned).
+//  * the solver runs end-to-end through QueryBuilder, ShardedEngine::Recommend
+//    and RecommendBatch (planned bit-identical to unplanned).
 #include <gtest/gtest.h>
 
 #include <utility>
 #include <vector>
 
-#include "api/engine.h"
 #include "api/query_builder.h"
 #include "common/rng.h"
+#include "shard/sharded_engine.h"
 #include "solver/submodular_solver.h"
 #include "test_util.h"
 #include "topk/naive.h"
@@ -128,14 +128,14 @@ TEST(SubmodularSolverTest, RunsEndToEndThroughEngineAndBatch) {
   sc.diversity_pool = 120;
   const FacebookStudy study = GenerateFacebookStudy(sc, universe);
 
-  RecommenderOptions options;
-  options.max_candidate_items = 220;
-  EngineOptions planned;
-  planned.num_threads = 2;
-  EngineOptions unplanned = planned;
+  ShardedEngineOptions planned;
+  planned.num_shards = 2;
+  planned.max_candidate_items = 220;
+  planned.batch_threads = 2;
+  ShardedEngineOptions unplanned = planned;
   unplanned.plan_batches = false;
-  const Engine engine(universe.dataset, study, options, planned);
-  const Engine reference(universe.dataset, study, options, unplanned);
+  const ShardedEngine engine(universe.dataset, study, planned);
+  const ShardedEngine reference(universe.dataset, study, unplanned);
 
   const Result<Query> query = QueryBuilder(engine)
                                   .Members({0, 4, 9})
@@ -144,7 +144,8 @@ TEST(SubmodularSolverTest, RunsEndToEndThroughEngineAndBatch) {
                                   .CandidatePool(220)
                                   .Build();
   ASSERT_TRUE(query.ok());
-  const Result<Recommendation> single = engine.Recommend(query.value());
+  const Result<Recommendation> single =
+      engine.Recommend(query.value().group, query.value().spec);
   ASSERT_TRUE(single.ok());
   EXPECT_EQ(single.value().items.size(), 5u);
 
