@@ -32,6 +32,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -212,73 +213,93 @@ int main() {
     std::size_t footprint = 0;  // raw entries per member-list exhaustive scan
   };
   std::vector<SweepRow> sweep;
-  std::vector<std::vector<Recommendation>> reference(pools.size());
 
-  const auto run_layout = [&](const ShardedEngine& rec,
-                              const std::string& layout) -> bool {
+  // Both engines are built before anything is timed, and their timed passes
+  // interleave per pool size (banded, flat, banded, flat, ...), each layout
+  // keeping its best pass: a burst of host noise then lands on both sides
+  // of the cross-layout ratio instead of on whichever layout ran during it.
+  std::unique_ptr<ShardedEngine> flat_engine;
+  if (run_flat) {
+    // Same datasets, flat rows: the pre-banding baseline.
+    flat_engine = make_engine([](ShardedEngineOptions& o) {
+      o.index_layout = IndexLayout::kFlat;
+    });
+  }
+  struct LayoutRun {
+    std::string layout;
+    const ShardedEngine* engine;
+    std::shared_ptr<const ShardedSnapshotSet> set;
+    std::vector<SweepRow> rows;
     QueryWorkspace ws;
-    const auto rec_set = rec.Pin();
-    for (std::size_t pi = 0; pi < pools.size(); ++pi) {
-      QuerySpec sweep_spec = spec;
-      sweep_spec.algorithm = Algorithm::kNaive;
-      sweep_spec.num_candidate_items = pools[pi];
-
+  };
+  std::vector<LayoutRun> layouts;
+  if (run_banded) layouts.push_back({"banded", &engine, engine.Pin(), {}, {}});
+  if (run_flat) {
+    layouts.push_back(
+        {"flat", flat_engine.get(), flat_engine->Pin(), {}, {}});
+  }
+  constexpr int kInterleavedPasses = 5;
+  const auto run_pool = [&](std::size_t pi) -> bool {
+    QuerySpec sweep_spec = spec;
+    sweep_spec.algorithm = Algorithm::kNaive;
+    sweep_spec.num_candidate_items = pools[pi];
+    std::vector<double> best_seconds(layouts.size(), 0.0);
+    std::vector<std::vector<Recommendation>> recs(layouts.size());
+    for (LayoutRun& run : layouts) {
       SweepRow row;
       row.pool = pools[pi];
-      row.layout = layout;
-      row.footprint = rec.BuildProblem(rec_set, batch[0].group, sweep_spec,
-                                       nullptr, &ws)
+      row.layout = run.layout;
+      row.footprint = run.engine
+                          ->BuildProblem(run.set, batch[0].group, sweep_spec,
+                                         nullptr, &run.ws)
                           .value()
                           .preference_lists()[0]
                           .scan_footprint();
-      // One warm-up query, then best-of-3 timed sequential passes (the
-      // layouts run back to back, so taking the fastest pass damps
-      // frequency/cache noise in the cross-layout ratio).
-      rec.Recommend(rec_set, batch[0].group, sweep_spec, &ws);
-      std::vector<Recommendation> recs;
-      double best_seconds = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        recs.clear();
-        recs.reserve(batch.size());
+      run.rows.push_back(row);
+      // One warm-up query per layout, outside the timed passes.
+      run.engine->Recommend(run.set, batch[0].group, sweep_spec, &run.ws);
+    }
+    for (int pass = 0; pass < kInterleavedPasses; ++pass) {
+      for (std::size_t l = 0; l < layouts.size(); ++l) {
+        LayoutRun& run = layouts[l];
+        recs[l].clear();
+        recs[l].reserve(batch.size());
         Stopwatch watch;
         for (const Query& q : batch) {
-          recs.push_back(
-              rec.Recommend(rec_set, q.group, sweep_spec, &ws).value());
+          recs[l].push_back(
+              run.engine->Recommend(run.set, q.group, sweep_spec, &run.ws)
+                  .value());
         }
         const double seconds = watch.ElapsedSeconds();
-        if (rep == 0 || seconds < best_seconds) best_seconds = seconds;
+        if (pass == 0 || seconds < best_seconds[l]) best_seconds[l] = seconds;
       }
-      row.qps = static_cast<double>(batch.size()) / best_seconds;
-      sweep.push_back(row);
-
-      if (reference[pi].empty()) {
-        reference[pi] = std::move(recs);
-      } else {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (recs[i].items != reference[pi][i].items ||
-              recs[i].scores != reference[pi][i].scores) {
-            std::cerr << "ERROR: layout " << layout << " pool " << pools[pi]
-                      << " query " << i << " differs across layouts\n";
-            return false;
-          }
+    }
+    for (std::size_t l = 0; l < layouts.size(); ++l) {
+      layouts[l].rows.back().qps =
+          static_cast<double>(batch.size()) / best_seconds[l];
+      for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (recs[l][i].items != recs[0][i].items ||
+            recs[l][i].scores != recs[0][i].scores) {
+          std::cerr << "ERROR: layout " << layouts[l].layout << " pool "
+                    << pools[pi] << " query " << i
+                    << " differs across layouts\n";
+          return false;
         }
       }
     }
     return true;
   };
 
-  if (run_banded || run_flat) {
+  if (!layouts.empty()) {
     TablePrinter sweep_table(
         "Index-layout sweep, naive exhaustive scans (qps per pool size)");
     sweep_table.SetColumns(
         {"layout", "pool", "queries/s", "entries walked/scan"});
-    if (run_banded && !run_layout(engine, "banded")) return 1;
-    if (run_flat) {
-      // Same datasets, flat rows: the pre-banding baseline.
-      const auto flat_engine = make_engine([](ShardedEngineOptions& o) {
-        o.index_layout = IndexLayout::kFlat;
-      });
-      if (!run_layout(*flat_engine, "flat")) return 1;
+    for (std::size_t pi = 0; pi < pools.size(); ++pi) {
+      if (!run_pool(pi)) return 1;
+    }
+    for (const LayoutRun& run : layouts) {
+      sweep.insert(sweep.end(), run.rows.begin(), run.rows.end());
     }
     for (const SweepRow& row : sweep) {
       sweep_table.AddRow({row.layout, std::to_string(row.pool),

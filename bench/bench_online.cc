@@ -10,7 +10,9 @@
 // and the writer publishes with a pointer swap, reads never block on
 // writes: throughput under the writer should track the baseline (the gap is
 // CPU time the writer consumes, not lock waits — on a single-core host the
-// writer's rebuild share is the expected gap).
+// writer's rebuild share is the expected gap). Each publish also reports
+// the index bytes it copied (only the row chunks holding a touched row;
+// UpdateReport::index_bytes_copied), printed per publish next to p50.
 //
 // Phase 3 (publish-latency curve): back-to-back update batches, recording
 // per-publish latency against the number of live ratings accumulated so far
@@ -203,6 +205,7 @@ int main() {
   std::atomic<bool> writer_stop{false};
   std::vector<double> publish_ms;
   std::size_t updates_applied = 0;
+  std::size_t bytes_copied = 0;  // UpdateReport::index_bytes_copied, summed
   std::thread writer([&] {
     Rng rng(77);
     Timestamp ts = 1'000'000'000;
@@ -210,9 +213,11 @@ int main() {
       const auto events =
           RandomEvents(rng, events_per_batch, participants, num_items, ts);
       ts += static_cast<Timestamp>(events_per_batch);
+      ShardedUpdateReport report;
       Stopwatch watch;
-      const Status status = engine.ApplyUpdates(events);
+      const Status status = engine.ApplyUpdates(events, &report);
       publish_ms.push_back(watch.ElapsedMillis());
+      bytes_copied += report.total.index_bytes_copied;
       if (!status.ok()) {
         std::cerr << "ERROR: update failed: " << status.ToString() << "\n";
         std::abort();
@@ -329,6 +334,10 @@ int main() {
   const double ratio = live.qps / baseline.qps;
   const double publish_p50 = Percentile(publish_ms, 0.50);
   const double publish_p99 = Percentile(publish_ms, 0.99);
+  const double copied_kib_per_publish =
+      publish_ms.empty() ? 0.0
+                         : static_cast<double>(bytes_copied) / 1024.0 /
+                               static_cast<double>(publish_ms.size());
 
   TablePrinter table("ShardedEngine::Recommend under live updates "
                      "(generation 1 -> " +
@@ -361,7 +370,9 @@ int main() {
 
   std::cout << "qps_ratio (writer/baseline): " << ratio << "\n"
             << "snapshot_publish_ms p50: " << publish_p50
-            << "  p99: " << publish_p99 << "  publishes: "
+            << "  p99: " << publish_p99
+            << "  index copied/publish: " << copied_kib_per_publish
+            << " KiB  publishes: "
             << publish_ms.size() << " (" << updates_applied << " events)\n"
             << "publish_curve_p99 (last/first decile): " << curve_p99_last
             << " / " << curve_p99_first << " = " << curve_p99_ratio << " ("
@@ -408,6 +419,8 @@ int main() {
        << "  \"qps_ratio\": " << ratio << ",\n"
        << "  \"publish_p50_ms\": " << publish_p50 << ",\n"
        << "  \"publish_p99_ms\": " << publish_p99 << ",\n"
+       << "  \"index_kib_copied_per_publish\": " << copied_kib_per_publish
+       << ",\n"
        << "  \"publishes\": " << publish_ms.size() << ",\n"
        << "  \"events_applied\": " << updates_applied << ",\n"
        << "  \"curve_publishes\": " << curve.size() << ",\n"

@@ -10,13 +10,16 @@
 //         + Q scatter/gather group queries
 //
 // The measured quantity is mixed throughput (queries per second of wall
-// time, updates included) plus per-ApplyUpdates publish p50/p99 and the
-// average scatter width. The scaling mechanism on a single core is BYTE
-// REDUCTION, not parallelism: a shard publish clones 1/N of the
-// population's index rows, so when the locality knob routes each update
-// batch to one shard the per-round publish cost drops by the shard count —
-// while locality 0 scatters every batch across all shards and gives the
-// win back. The bench sweeps shards x locality to show exactly that.
+// time, updates included) plus per-ApplyUpdates publish p50/p99, the index
+// bytes each publish copied (UpdateReport::index_bytes_copied) and the
+// average scatter width. A shard publish copies only the row chunks that
+// hold a touched row (index/preference_index.h), so its cost follows the
+// events, not the shard's size: the sweep shows what several shards still
+// buy once publishes stopped scaling with 1/N of the population, and
+// locality 0 shows what scattering one batch over every shard costs. The
+// engines of all shard counts stay alive together and the configurations
+// take turns round by round, so host noise cannot favour one of them (the
+// price: four engines' memory at once).
 //
 // A second sweep exercises the unified serving runtime's PLANNED BATCH
 // path (serve/batch_executor.h): duplicate-heavy read-only batches (dup
@@ -31,14 +34,16 @@
 // GRECA_SHARD_USERS, GRECA_SHARD_ITEMS, GRECA_SHARD_POOL,
 // GRECA_SHARD_GROUPS, GRECA_SHARD_ROUNDS, GRECA_SHARD_QUERIES,
 // GRECA_SHARD_EVENTS. GRECA_SHARD_ASSERT=1 exits nonzero unless the
-// 2-shard high-locality configuration reaches 0.9x single-shard throughput
-// (the CI smoke gate; full runs should clear 1.3x at 4+ shards).
+// 2-shard high-locality configuration reaches 0.9x single-shard throughput,
+// or when any shard publish copied more than (distinct touched row chunks)
+// x chunk bytes + the chunk pointer table — a count, so it cannot flake.
 // GRECA_SHARD_ASSERT_PLANNER=1 exits nonzero unless parallel planned
 // serving reaches 1.3x the serial planned reference at 4 shards / dup 16
 // (skipped on single-core hosts, which cannot show wall-clock parallelism).
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <iostream>
 #include <memory>
 #include <span>
@@ -81,6 +86,9 @@ struct WorkloadResult {
   double query_p99_us = 0.0;
   double publish_p50_ms = 0.0;
   double publish_p99_ms = 0.0;
+  double bytes_copied_per_publish = 0.0;
+  /// Shard publishes that copied more than their touched chunks allow.
+  std::size_t over_budget_publishes = 0;
   double avg_shards_touched_query = 0.0;
   double avg_shards_touched_update = 0.0;
   std::size_t queries = 0;
@@ -96,103 +104,161 @@ struct WorkloadConfig {
   std::size_t group_size = 5;
 };
 
-/// One mixed read/write run against `engine` with groups generated at
-/// `locality` for THIS engine's router.
-WorkloadResult RunWorkload(ShardedEngine& engine, double locality,
-                           const WorkloadConfig& config, Timestamp* next_ts) {
-  const auto shard_of = [&](UserId u) { return engine.router().ShardOf(u); };
-  ScaleGroupsConfig gc;
-  gc.num_groups = config.num_groups;
-  gc.group_size = config.group_size;
-  gc.locality = locality;
-  const std::vector<std::vector<UserId>> groups = GenerateScaleGroups(
-      gc, engine.num_users(), engine.num_shards(), shard_of);
-
-  QuerySpec spec;
-  spec.k = 10;
-  spec.model = AffinityModelSpec::TimeAgnostic();
-  spec.algorithm = Algorithm::kGreca;
-  spec.num_candidate_items = engine.pool().size();
-  spec.eval_period = 0;
-
-  WorkloadResult result;
-  result.shards = engine.num_shards();
-  result.locality = locality;
-
-  double touched_query = 0.0;
-  for (const auto& group : groups) {
-    touched_query += static_cast<double>(engine.ShardsTouched(group));
+/// Shard publishes of one ApplyUpdates whose index_bytes_copied exceeds the
+/// copy-on-write bound: (distinct row chunks holding a rebuilt row) x
+/// chunk_bytes() + chunk_table_bytes(). Every event is fresh here, so the
+/// rebuilt rows are exactly the events' users.
+std::size_t OverBudgetPublishes(const ShardedEngine& engine,
+                                std::span<const RatingEvent> events,
+                                const ShardedUpdateReport& report) {
+  std::size_t over = 0;
+  for (std::size_t s = 0; s < engine.num_shards(); ++s) {
+    const Shard& shard = engine.shard(s);
+    const PreferenceIndex& index = *shard.snapshot()->index;
+    std::vector<std::size_t> chunks;
+    for (const RatingEvent& e : events) {
+      if (engine.router().ShardOf(e.user) == s) {
+        chunks.push_back(shard.LocalRowOf(e.user) / index.rows_per_chunk());
+      }
+    }
+    std::sort(chunks.begin(), chunks.end());
+    chunks.erase(std::unique(chunks.begin(), chunks.end()), chunks.end());
+    const std::size_t budget =
+        chunks.empty() ? 0
+                       : chunks.size() * index.chunk_bytes() +
+                             index.chunk_table_bytes();
+    if (report.per_shard[s].index_bytes_copied > budget) {
+      std::cerr << "shard " << s << " publish copied "
+                << report.per_shard[s].index_bytes_copied
+                << " index bytes, budget " << budget << " (" << chunks.size()
+                << " touched chunks)\n";
+      ++over;
+    }
   }
-  result.avg_shards_touched_query =
-      touched_query / static_cast<double>(groups.size());
+  return over;
+}
 
-  // Warm-up outside the window (allocator, first workspace growth).
-  QueryWorkspace ws;
-  for (std::size_t i = 0; i < 2 && i < groups.size(); ++i) {
-    if (!engine.Recommend(groups[i], spec, &ws).ok()) std::abort();
+/// One mixed read/write configuration: `engine` with groups generated at
+/// `locality` for THIS engine's router, advanced one round at a time so
+/// every configuration's rounds interleave in time (see main).
+class MixedWorkload {
+ public:
+  MixedWorkload(ShardedEngine& engine, double locality,
+                const WorkloadConfig& config)
+      : engine_(engine),
+        config_(config),
+        rng_(90'000 + engine.num_shards() * 10 +
+             static_cast<std::uint64_t>(locality * 2)) {
+    const auto shard_of = [&](UserId u) { return engine.router().ShardOf(u); };
+    ScaleGroupsConfig gc;
+    gc.num_groups = config.num_groups;
+    gc.group_size = config.group_size;
+    gc.locality = locality;
+    groups_ = GenerateScaleGroups(gc, engine.num_users(), engine.num_shards(),
+                                  shard_of);
+
+    spec_.k = 10;
+    spec_.model = AffinityModelSpec::TimeAgnostic();
+    spec_.algorithm = Algorithm::kGreca;
+    spec_.num_candidate_items = engine.pool().size();
+    spec_.eval_period = 0;
+
+    result_.shards = engine.num_shards();
+    result_.locality = locality;
+    double touched_query = 0.0;
+    for (const auto& group : groups_) {
+      touched_query += static_cast<double>(engine.ShardsTouched(group));
+    }
+    result_.avg_shards_touched_query =
+        touched_query / static_cast<double>(groups_.size());
+
+    // Warm-up outside the window (allocator, first workspace growth).
+    for (std::size_t i = 0; i < 2 && i < groups_.size(); ++i) {
+      if (!engine.Recommend(groups_[i], spec_, &ws_).ok()) std::abort();
+    }
   }
 
-  Rng rng(90'000 + engine.num_shards() * 10 +
-          static_cast<std::uint64_t>(locality * 2));
-  const std::span<const ItemId> pool = engine.pool();
-  std::vector<double> query_us;
-  std::vector<double> publish_ms;
-  query_us.reserve(config.rounds * config.queries_per_round);
-  publish_ms.reserve(config.rounds);
-  double touched_update = 0.0;
-
-  Stopwatch total_watch;
-  for (std::size_t round = 0; round < config.rounds; ++round) {
-    // One update batch, routed where the workload's groups live: events for
-    // the members of one group, rating pool items (so touched rows really
-    // change). At locality 1 the whole batch lands on one shard.
-    const auto& target = groups[rng.NextBounded(groups.size())];
+  /// One round: an update batch routed where the workload's groups live
+  /// (events for the members of one group, rating pool items so touched
+  /// rows really change; at locality 1 the whole batch lands on one shard),
+  /// then queries_per_round queries.
+  void Round(Timestamp* next_ts) {
+    const std::span<const ItemId> pool = engine_.pool();
+    const auto& target = groups_[rng_.NextBounded(groups_.size())];
     std::vector<RatingEvent> events;
-    events.reserve(config.events_per_batch);
-    for (std::size_t i = 0; i < config.events_per_batch; ++i) {
+    events.reserve(config_.events_per_batch);
+    for (std::size_t i = 0; i < config_.events_per_batch; ++i) {
       RatingEvent e;
-      e.user = target[rng.NextBounded(target.size())];
-      e.item = pool[rng.NextBounded(pool.size())];
-      e.rating = static_cast<Score>(1 + rng.NextBounded(5));
+      e.user = target[rng_.NextBounded(target.size())];
+      e.item = pool[rng_.NextBounded(pool.size())];
+      e.rating = static_cast<Score>(1 + rng_.NextBounded(5));
       e.timestamp = (*next_ts)++;  // monotone: every event is fresh
       events.push_back(e);
     }
+    Stopwatch round_watch;
     ShardedUpdateReport report;
     Stopwatch publish_watch;
-    const Status status = engine.ApplyUpdates(events, &report);
-    publish_ms.push_back(publish_watch.ElapsedMillis());
+    const Status status = engine_.ApplyUpdates(events, &report);
+    publish_ms_.push_back(publish_watch.ElapsedMillis());
     if (!status.ok()) {
       std::cerr << "ERROR: update failed: " << status.ToString() << "\n";
       std::abort();
     }
-    touched_update += static_cast<double>(report.shards_touched);
-    result.events_applied += report.total.events_applied;
+    touched_update_ += static_cast<double>(report.shards_touched);
+    result_.events_applied += report.total.events_applied;
+    bytes_copied_ += static_cast<double>(report.total.index_bytes_copied);
 
-    for (std::size_t q = 0; q < config.queries_per_round; ++q) {
-      const auto& group = groups[(round * config.queries_per_round + q) %
-                                 groups.size()];
+    for (std::size_t q = 0; q < config_.queries_per_round; ++q) {
+      const auto& group = groups_[(rounds_ * config_.queries_per_round + q) %
+                                  groups_.size()];
       Stopwatch query_watch;
-      const auto r = engine.Recommend(group, spec, &ws);
-      query_us.push_back(query_watch.ElapsedSeconds() * 1e6);
+      const auto r = engine_.Recommend(group, spec_, &ws_);
+      query_us_.push_back(query_watch.ElapsedSeconds() * 1e6);
       if (!r.ok()) {
         std::cerr << "ERROR: query failed: " << r.status().ToString() << "\n";
         std::abort();
       }
     }
+    elapsed_ += round_watch.ElapsedSeconds();
+    ++rounds_;
+    // Outside the timed window: the copy-bound check.
+    result_.over_budget_publishes +=
+        OverBudgetPublishes(engine_, events, report);
   }
-  const double elapsed = total_watch.ElapsedSeconds();
 
-  result.queries = query_us.size();
-  result.update_batches = publish_ms.size();
-  result.qps = static_cast<double>(result.queries) / elapsed;
-  result.query_p50_us = Percentile(query_us, 0.50);
-  result.query_p99_us = Percentile(query_us, 0.99);
-  result.publish_p50_ms = Percentile(publish_ms, 0.50);
-  result.publish_p99_ms = Percentile(publish_ms, 0.99);
-  result.avg_shards_touched_update =
-      touched_update / static_cast<double>(config.rounds);
-  return result;
-}
+  WorkloadResult Result() const {
+    WorkloadResult result = result_;
+    std::vector<double> query_us = query_us_;
+    std::vector<double> publish_ms = publish_ms_;
+    result.queries = query_us.size();
+    result.update_batches = publish_ms.size();
+    result.qps = static_cast<double>(result.queries) / elapsed_;
+    result.query_p50_us = Percentile(query_us, 0.50);
+    result.query_p99_us = Percentile(query_us, 0.99);
+    result.publish_p50_ms = Percentile(publish_ms, 0.50);
+    result.publish_p99_ms = Percentile(publish_ms, 0.99);
+    result.avg_shards_touched_update =
+        touched_update_ / static_cast<double>(rounds_);
+    result.bytes_copied_per_publish =
+        bytes_copied_ / static_cast<double>(rounds_);
+    return result;
+  }
+
+ private:
+  ShardedEngine& engine_;
+  const WorkloadConfig config_;
+  Rng rng_;
+  std::vector<std::vector<UserId>> groups_;
+  QuerySpec spec_;
+  QueryWorkspace ws_;
+  WorkloadResult result_;
+  std::vector<double> query_us_;
+  std::vector<double> publish_ms_;
+  double touched_update_ = 0.0;
+  double bytes_copied_ = 0.0;
+  double elapsed_ = 0.0;  // timed seconds: publishes + queries
+  std::size_t rounds_ = 0;
+};
 
 struct PlannerSweepResult {
   std::size_t shards = 0;
@@ -238,7 +304,7 @@ int main() {
   const std::size_t pool_size =
       EnvSize("GRECA_SHARD_POOL", small ? 128 : 256);
   WorkloadConfig wc;
-  wc.rounds = EnvSize("GRECA_SHARD_ROUNDS", small ? 6 : 10);
+  wc.rounds = EnvSize("GRECA_SHARD_ROUNDS", small ? 30 : 10);
   wc.queries_per_round = EnvSize("GRECA_SHARD_QUERIES", small ? 8 : 16);
   wc.events_per_batch = EnvSize("GRECA_SHARD_EVENTS", small ? 64 : 256);
   wc.num_groups = EnvSize("GRECA_SHARD_GROUPS", small ? 200 : 400);
@@ -278,9 +344,13 @@ int main() {
 
   const std::size_t shard_counts[] = {1, 2, 4, 8};
   const double localities[] = {0.0, 1.0};
-  std::vector<WorkloadResult> results;
-  Timestamp next_ts = 4'000'000'000;
-
+  // Every configuration's engine stays alive and the configurations take
+  // turns round by round, so a spell of host noise lands on all of them
+  // alike instead of deciding a cross-shard-count ratio on its own (a
+  // publish is sub-millisecond now, so each round is a few milliseconds).
+  std::vector<std::unique_ptr<ShardedEngine>> engines;
+  std::vector<MixedWorkload> workloads;
+  workloads.reserve(std::size(shard_counts) * std::size(localities));
   for (const std::size_t n : shard_counts) {
     ShardedEngineOptions options;
     options.num_shards = n;
@@ -294,17 +364,28 @@ int main() {
     inputs.num_periods = 1;
 
     Stopwatch build_watch;
-    ShardedEngine engine(std::move(inputs), options);
+    engines.push_back(
+        std::make_unique<ShardedEngine>(std::move(inputs), options));
     std::cout << "built " << n << "-shard engine in "
               << build_watch.ElapsedSeconds() << "s\n";
     for (const double locality : localities) {
-      results.push_back(RunWorkload(engine, locality, wc, &next_ts));
-      const WorkloadResult& r = results.back();
-      std::cout << "  shards=" << n << " locality=" << locality
-                << "  qps=" << r.qps << "  publish p50=" << r.publish_p50_ms
-                << "ms p99=" << r.publish_p99_ms << "ms\n";
+      workloads.emplace_back(*engines.back(), locality, wc);
     }
   }
+  Timestamp next_ts = 4'000'000'000;
+  for (std::size_t round = 0; round < wc.rounds; ++round) {
+    for (MixedWorkload& workload : workloads) workload.Round(&next_ts);
+  }
+  std::vector<WorkloadResult> results;
+  for (const MixedWorkload& workload : workloads) {
+    results.push_back(workload.Result());
+    const WorkloadResult& r = results.back();
+    std::cout << "  shards=" << r.shards << " locality=" << r.locality
+              << "  qps=" << r.qps << "  publish p50=" << r.publish_p50_ms
+              << "ms p99=" << r.publish_p99_ms << "ms  copied/publish="
+              << r.bytes_copied_per_publish / 1024.0 << " KiB\n";
+  }
+  engines.clear();
 
   TablePrinter table("Mixed read/write throughput vs shard count (" +
                      std::to_string(sc.num_users) + " users, " +
@@ -312,13 +393,14 @@ int main() {
                      " events + " + std::to_string(wc.queries_per_round) +
                      " queries per round)");
   table.SetColumns({"shards", "locality", "qps", "query p50 (us)",
-                    "publish p50 (ms)", "publish p99 (ms)",
-                    "scatter/query", "scatter/update"});
+                    "publish p50 (ms)", "copied/publish (KiB)",
+                    "publish p99 (ms)", "scatter/query", "scatter/update"});
   for (const WorkloadResult& r : results) {
     table.AddRow({std::to_string(r.shards), TablePrinter::Cell(r.locality, 1),
                   TablePrinter::Cell(r.qps, 1),
                   TablePrinter::Cell(r.query_p50_us, 0),
                   TablePrinter::Cell(r.publish_p50_ms, 2),
+                  TablePrinter::Cell(r.bytes_copied_per_publish / 1024.0, 0),
                   TablePrinter::Cell(r.publish_p99_ms, 2),
                   TablePrinter::Cell(r.avg_shards_touched_query, 2),
                   TablePrinter::Cell(r.avg_shards_touched_update, 2)});
@@ -339,9 +421,8 @@ int main() {
   std::cout << "high-locality speedup over 1 shard: x2=" << speedup2
             << " x4=" << speedup4 << " x8=" << speedup8
             << "\nlocality-0 throughput at 8 shards: " << scatter_penalty
-            << "x of locality-1 (scattered updates give the publish "
-               "reduction back)\nExpected: >= 1.3x at 4+ shards with high "
-               "locality — the per-shard publish clones 1/N of the index\n";
+            << "x of locality-1 (scattered updates publish on every "
+               "shard)\n";
 
   // --- Planned-batch sweep: the unified serving runtime under dedup ---
   const std::size_t planner_distinct = small ? 12 : 24;
@@ -460,6 +541,7 @@ int main() {
          << ", \"query_p99_us\": " << r.query_p99_us
          << ", \"publish_p50_ms\": " << r.publish_p50_ms
          << ", \"publish_p99_ms\": " << r.publish_p99_ms
+         << ", \"bytes_copied_per_publish\": " << r.bytes_copied_per_publish
          << ", \"avg_shards_touched_query\": " << r.avg_shards_touched_query
          << ", \"avg_shards_touched_update\": " << r.avg_shards_touched_update
          << ", \"queries\": " << r.queries
@@ -490,10 +572,22 @@ int main() {
        << "}\n";
   std::cout << "Wrote " << path << "\n";
 
-  if (std::getenv("GRECA_SHARD_ASSERT") != nullptr && speedup2 < 0.9) {
-    std::cerr << "ASSERT FAILED: 2-shard high-locality qps is " << speedup2
-              << "x of single-shard (expected >= 0.9x)\n";
-    return 1;
+  if (std::getenv("GRECA_SHARD_ASSERT") != nullptr) {
+    if (speedup2 < 0.9) {
+      std::cerr << "ASSERT FAILED: 2-shard high-locality qps is " << speedup2
+                << "x of single-shard (expected >= 0.9x)\n";
+      return 1;
+    }
+    std::size_t over_budget = 0;
+    for (const WorkloadResult& r : results) {
+      over_budget += r.over_budget_publishes;
+    }
+    if (over_budget > 0) {
+      std::cerr << "ASSERT FAILED: " << over_budget
+                << " shard publishes copied more index bytes than their "
+                   "touched row chunks\n";
+      return 1;
+    }
   }
   if (std::getenv("GRECA_SHARD_ASSERT_PLANNER") != nullptr) {
     // A single hardware thread cannot demonstrate parallel speedup — the

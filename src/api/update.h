@@ -69,6 +69,11 @@ struct UpdateReport {
   bool compacted = false;
   /// Delta-log entries resident after this call (0 right after compaction).
   std::size_t delta_log_ratings = 0;
+  /// Bytes of index row storage the publish that carried this call's events
+  /// allocated and wrote: the copied row chunks plus the chunk pointer table
+  /// (PreferenceIndex::CloneWithUpdatedPoolRows); 0 when nothing published.
+  /// Shared by every coalesced caller, like users_rebuilt.
+  std::size_t index_bytes_copied = 0;
 };
 
 }  // namespace greca

@@ -46,12 +46,22 @@
 // (build_flat_twin = false), in which case wide prefixes take the banded
 // merge — same results, no twin bytes.
 //
+// Row storage is chunked. Rows live in fixed-size row chunks of
+// rows_per_chunk() consecutive rows (a power of two, sized so one chunk's
+// arrays — flat twin included — hold about kChunkTargetBytes); the last
+// chunk holds only the rows that remain. Each chunk is one immutable block
+// owned through shared_ptr<const>, and the pool, the item→key map and the
+// band grid are one more shared immutable block, so generations of an index
+// share everything they did not change.
+//
 // Live updates never mutate a published index. When ratings change, the
 // owning shard calls CloneWithUpdatedPoolRows() with the affected users'
-// fresh pool scores: the clone copies the untouched rows wholesale and
-// re-sorts only the affected ones, then gets published inside a new
-// ShardSnapshot (shard/shard.h) via pointer swap — readers holding the old
-// index are unaffected.
+// fresh pool scores: the clone copies the chunk pointer table, allocates
+// fresh storage only for the chunks that hold a touched row (copying them
+// and re-sorting the touched rows) and shares every other chunk with its
+// parent. It then gets published inside a new ShardSnapshot
+// (shard/shard.h) via pointer swap — readers holding the old index keep
+// their chunks alive and are unaffected.
 #ifndef GRECA_INDEX_PREFERENCE_INDEX_H_
 #define GRECA_INDEX_PREFERENCE_INDEX_H_
 
@@ -59,6 +69,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -74,14 +85,21 @@ class PreferenceIndex {
   /// PoolPositionOf() marker for items outside the popular-item pool.
   static constexpr std::uint32_t kNotPooled = 0xFFFFFFFFu;
 
+  /// Target size of one row chunk (every array of its rows, flat twin
+  /// included): rows_per_chunk() is the largest power of two whose rows fit
+  /// in it, and at least 1.
+  static constexpr std::size_t kChunkTargetBytes = std::size_t{256} << 10;
+
   /// Resident-size split of one index (MemoryBreakdownBytes): the banded SoA
-  /// rows, the global-order twin rows, and the pool/key maps.
+  /// rows, the global-order twin rows, and the pool/key maps. Chunks shared
+  /// with other generations count in full — it is what this generation
+  /// reaches.
   struct MemoryBreakdown {
     /// Band-order rows: keys + scores + key→position maps.
     std::size_t banded_bytes = 0;
     /// Global-order twin rows (0 on flat layouts or build_flat_twin=false).
     std::size_t flat_twin_bytes = 0;
-    /// Pool vector, item→key map and the band grid.
+    /// Pool vector, item→key map, the band grid and the chunk pointer table.
     std::size_t map_bytes = 0;
     std::size_t total() const {
       return banded_bytes + flat_twin_bytes + map_bytes;
@@ -133,49 +151,69 @@ class PreferenceIndex {
   static std::vector<std::uint32_t> GeometricBandBreakpoints(
       std::size_t pool_size, std::size_t first_band = 64);
 
-  /// Incremental rebuild for live updates: a full copy of this index in
-  /// which the rows of `users` (parallel to `pool_scores`:
+  /// Incremental rebuild for live updates: a new generation of this index
+  /// in which the rows of `users` (parallel to `pool_scores`:
   /// pool_scores[i][key] is users[i]'s raw, universe-scale score for
-  /// pool()[key]) are re-normalized and re-sorted; every other row is copied
-  /// bit-identically. The pool, the item→key map and the score normalization
-  /// (scale_max) are inherited. Rows come out bit-identical to Build() fed
-  /// the same scores. Cost: one O(users × pool) memcpy plus
-  /// O(pool log pool) per updated row.
+  /// pool()[key]) are re-normalized and re-sorted; every other row reads
+  /// bit-identically. The pool, the item→key map, the band grid and the
+  /// score normalization (scale_max) are shared with this index. Rows come
+  /// out bit-identical to Build() fed the same scores. Cost: one copy of
+  /// each chunk holding a touched row plus the chunk pointer table, and
+  /// O(pool log pool) per updated row; untouched chunks are shared, never
+  /// copied. `bytes_copied`, when non-null, receives the row storage the
+  /// clone allocated and wrote: at most (distinct touched chunks) ×
+  /// chunk_bytes() + chunk_table_bytes().
   PreferenceIndex CloneWithUpdatedPoolRows(
       std::span<const UserId> users,
-      std::span<const std::span<const Score>> pool_scores) const;
+      std::span<const std::span<const Score>> pool_scores,
+      std::size_t* bytes_copied = nullptr) const;
 
   std::size_t num_users() const { return num_users_; }
-  std::size_t pool_size() const { return pool_.size(); }
+  std::size_t pool_size() const { return schema_->pool.size(); }
 
   /// Number of popularity bands per row (1 = flat layout).
-  std::size_t num_bands() const { return band_begin_.size() - 1; }
+  std::size_t num_bands() const { return schema_->band_begin.size() - 1; }
   /// Band boundaries as pool positions: band b = [bounds[b], bounds[b+1]).
   std::span<const std::uint32_t> band_boundaries() const {
-    return band_begin_;
+    return schema_->band_begin;
   }
   /// True when banded rows also carry the global-order twin (the wide-prefix
   /// fast path).
-  bool has_flat_twin() const { return !flat_keys_.empty(); }
+  bool has_flat_twin() const { return schema_->flat_twin; }
+
+  /// Rows per storage chunk (a power of two); chunk c holds rows
+  /// [c·rows_per_chunk(), (c+1)·rows_per_chunk()) clipped to num_users().
+  std::size_t rows_per_chunk() const {
+    return std::size_t{1} << schema_->chunk_shift;
+  }
+  std::size_t num_chunks() const { return chunks_.size(); }
+  /// Bytes of one full chunk: rows_per_chunk() rows of every row array.
+  std::size_t chunk_bytes() const { return rows_per_chunk() * RowBytes(); }
+  /// Bytes of the chunk pointer table, which every clone copies.
+  std::size_t chunk_table_bytes() const {
+    return chunks_.size() * sizeof(chunks_[0]);
+  }
 
   /// The popular-item pool in key order: pool()[key] is the universe item of
   /// candidate key `key` for every prefix slice.
-  std::span<const ItemId> pool() const { return pool_; }
+  std::span<const ItemId> pool() const { return schema_->pool; }
 
   /// Pool position (== candidate key) of a universe item, or kNotPooled.
   std::uint32_t PoolPositionOf(ItemId item) const {
-    return item < pool_position_of_item_.size() ? pool_position_of_item_[item]
-                                                : kNotPooled;
+    const std::vector<std::uint32_t>& map = schema_->pool_position_of_item;
+    return item < map.size() ? map[item] : kNotPooled;
   }
 
   /// User `u`'s full row in band order (per-band descending score, ties by
   /// ascending key; globally sorted when num_bands() == 1): parallel
   /// key/score arrays, UserKeys(u)[p] scored UserScores(u)[p].
   std::span<const ListKey> UserKeys(UserId u) const {
-    return {keys_.data() + u * pool_.size(), pool_.size()};
+    const std::size_t pool_size = schema_->pool.size();
+    return {ChunkOf(u).keys.data() + RowOffset(u), pool_size};
   }
   std::span<const Score> UserScores(UserId u) const {
-    return {scores_.data() + u * pool_.size(), pool_.size()};
+    const std::size_t pool_size = schema_->pool.size();
+    return {ChunkOf(u).scores.data() + RowOffset(u), pool_size};
   }
 
   /// Non-owning preference list of user `u` restricted to the candidate-pool
@@ -190,15 +228,20 @@ class PreferenceIndex {
   ListView UserView(UserId u, std::size_t prefix,
                     std::span<const std::uint64_t> tombstones,
                     std::size_t live_entries) const {
-    const std::size_t pool_size = pool_.size();
+    const Schema& schema = *schema_;
+    const std::vector<std::uint32_t>& band_begin = schema.band_begin;
+    const std::size_t pool_size = schema.pool.size();
     assert(prefix <= pool_size);
-    if (num_bands() == 1) {
+    const RowChunk& chunk = ChunkOf(u);
+    const std::size_t offset = RowOffset(u);
+    if (band_begin.size() == 2) {
       // Flat layout: the banded arrays ARE the globally sorted row.
-      return ListView(UserKeys(u), UserScores(u),
-                      {positions_.data() + u * pool_size, pool_size}, prefix,
+      return ListView({chunk.keys.data() + offset, pool_size},
+                      {chunk.scores.data() + offset, pool_size},
+                      {chunk.positions.data() + offset, pool_size}, prefix,
                       live_entries, tombstones);
     }
-    // Covered-band span: smallest nb with band_begin_[nb] >= prefix. The
+    // Covered-band span: smallest nb with band_begin[nb] >= prefix. The
     // grid is shared by every row, so the walk depends on the prefix alone;
     // batch traffic repeats a handful of pool sizes, so a single-entry memo
     // (packed (prefix+1, nb), 0 = cold) short-circuits it. Relaxed atomics:
@@ -210,81 +253,119 @@ class PreferenceIndex {
     if ((memo >> 32) == prefix + 1) {
       nb = static_cast<std::size_t>(memo & 0xFFFFFFFFull);
     } else {
-      nb = 1;  // covered bands: band_begin_[nb - 1] < prefix
-      while (band_begin_[nb] < prefix) ++nb;
+      nb = 1;  // covered bands: band_begin[nb - 1] < prefix
+      while (band_begin[nb] < prefix) ++nb;
       band_span_memo_.packed.store(
           (static_cast<std::uint64_t>(prefix + 1) << 32) |
               static_cast<std::uint64_t>(nb),
           std::memory_order_relaxed);
     }
-    const std::size_t footprint = band_begin_[nb];
-    if (2 * footprint > pool_size && has_flat_twin()) {
+    const std::size_t footprint = band_begin[nb];
+    if (2 * footprint > pool_size && schema.flat_twin) {
       // Cost-model guard: the merge must at least halve the walk, otherwise
       // the flat copy (no merge, pre-banding behavior) is the better lens.
-      return ListView({flat_keys_.data() + u * pool_size, pool_size},
-                      {flat_scores_.data() + u * pool_size, pool_size},
-                      {flat_positions_.data() + u * pool_size, pool_size},
+      return ListView({chunk.flat_keys.data() + offset, pool_size},
+                      {chunk.flat_scores.data() + offset, pool_size},
+                      {chunk.flat_positions.data() + offset, pool_size},
                       prefix, live_entries, tombstones);
     }
-    const std::span<const ListKey> keys{keys_.data() + u * pool_size,
+    const std::span<const ListKey> keys{chunk.keys.data() + offset,
                                         footprint};
-    const std::span<const Score> scores{scores_.data() + u * pool_size,
+    const std::span<const Score> scores{chunk.scores.data() + offset,
                                         footprint};
     const std::span<const std::uint32_t> positions{
-        positions_.data() + u * pool_size, pool_size};
+        chunk.positions.data() + offset, pool_size};
     if (nb == 1) {
       // One covered band is already sorted — plain flat view, no merge.
       return ListView(keys, scores, positions, prefix, live_entries,
                       tombstones);
     }
     return ListView(keys, scores, positions, prefix, live_entries, tombstones,
-                    std::span<const std::uint32_t>(band_begin_.data(), nb + 1));
+                    std::span<const std::uint32_t>(band_begin.data(), nb + 1));
   }
 
   /// Resident size split by component, for capacity planning and the bench
   /// JSON (BENCH_batch.json index_memory).
-  MemoryBreakdown MemoryBreakdownBytes() const {
-    MemoryBreakdown b;
-    b.banded_bytes = keys_.size() * sizeof(ListKey) +
-                     scores_.size() * sizeof(Score) +
-                     positions_.size() * sizeof(std::uint32_t);
-    b.flat_twin_bytes = flat_keys_.size() * sizeof(ListKey) +
-                        flat_scores_.size() * sizeof(Score) +
-                        flat_positions_.size() * sizeof(std::uint32_t);
-    b.map_bytes = pool_.size() * sizeof(ItemId) +
-                  pool_position_of_item_.size() * sizeof(std::uint32_t) +
-                  band_begin_.size() * sizeof(std::uint32_t);
-    return b;
-  }
+  MemoryBreakdown MemoryBreakdownBytes() const;
 
   /// Approximate total resident size (the breakdown summed).
   std::size_t MemoryBytes() const { return MemoryBreakdownBytes().total(); }
 
  private:
-  /// Re-sorts user `u`'s row (per band) and its key→position map from a
-  /// fresh prediction array. Internal: only called on rows of an unpublished
-  /// copy. Safe to call concurrently on DISTINCT rows (each row's storage is
-  /// disjoint; the sort scratch is thread-local) — the parallel build/clone
-  /// paths rely on that.
-  void RebuildRow(UserId u, std::span<const Score> predictions);
+  /// Everything every generation of one index shares, immutable once built:
+  /// the score normalization, the pool, the item→key map, the normalized
+  /// band grid and the chunk geometry.
+  struct Schema {
+    double scale_max = 1.0;
+    std::vector<ItemId> pool;                          // key -> universe item
+    std::vector<std::uint32_t> pool_position_of_item;  // item -> key
+    std::vector<std::uint32_t> band_begin = {0, 0};  // band b = [b, b+1) keys
+    bool flat_twin = false;    // chunks carry the global-order twin
+    unsigned chunk_shift = 0;  // rows_per_chunk == 1 << chunk_shift
+  };
 
-  /// RebuildRow twin fed raw scores per pool position (pool_scores[key] is
-  /// the score of pool_[key]); same normalization and ordering.
-  void RebuildRowFromPool(UserId u, std::span<const Score> pool_scores);
+  /// The rows [c·rows_per_chunk, ...) of one chunk, all pool-wide: keys[r·P +
+  /// p] is the key at band-order position p of the chunk's row r, scores its
+  /// score, positions the inverse map (key -> band-order position). The
+  /// flat_* arrays are the global-order twin, empty unless Schema::flat_twin.
+  struct RowChunk {
+    RowChunk(std::size_t entries, bool flat_twin);
+    std::size_t BandedBytes() const;
+    std::size_t TwinBytes() const;
 
-  /// The shared sort tail of both fills: `row` is the key-order AoS fill
-  /// (row[key] = {key, score}); sorts it per band (plus globally for the
-  /// flat twin) with ListEntryOrder and scatters into the SoA arrays and
-  /// key→position maps.
-  void SortRow(UserId u, std::span<ListEntry> row);
+    std::vector<ListKey> keys;
+    std::vector<Score> scores;
+    std::vector<std::uint32_t> positions;
+    std::vector<ListKey> flat_keys;
+    std::vector<Score> flat_scores;
+    std::vector<std::uint32_t> flat_positions;
+  };
 
-  /// Sizes the SoA arrays (and the flat twins) and installs the pool, the
-  /// item→key map and the normalized band grid — everything Build and
-  /// BuildStreaming share before the per-row fills.
-  void InitStorage(std::size_t num_rows, double scale_max,
-                   std::vector<ItemId> pool, std::size_t num_universe_items,
-                   std::span<const std::uint32_t> band_breakpoints,
-                   bool build_flat_twin);
+  const RowChunk& ChunkOf(UserId u) const {
+    assert(u < num_users_);
+    return *chunks_[u >> schema_->chunk_shift];
+  }
+  /// Offset of row `u` inside its chunk's arrays.
+  std::size_t RowOffset(UserId u) const {
+    return (u & (rows_per_chunk() - 1)) * schema_->pool.size();
+  }
+  /// Bytes of one row across every row array (the twin included).
+  std::size_t RowBytes() const {
+    const std::size_t bytes =
+        schema_->pool.size() *
+        (sizeof(ListKey) + sizeof(Score) + sizeof(std::uint32_t));
+    return schema_->flat_twin ? 2 * bytes : bytes;
+  }
+
+  /// Fills local row `row` of `chunk` from a per-ItemId prediction array.
+  static void FillRowFromItems(const Schema& schema, RowChunk& chunk,
+                               std::size_t row,
+                               std::span<const Score> predictions);
+
+  /// FillRowFromItems twin fed raw scores per pool position (pool_scores[key]
+  /// is the score of pool[key]); same normalization and ordering.
+  static void FillRowFromPool(const Schema& schema, RowChunk& chunk,
+                              std::size_t row,
+                              std::span<const Score> pool_scores);
+
+  /// The shared sort tail of both fills: `entries` is the key-order AoS fill
+  /// (entries[key] = {key, score}); sorts it per band (plus globally for the
+  /// flat twin) with ListEntryOrder and scatters into local row `row` of
+  /// `chunk`. Safe to call concurrently on DISTINCT rows (each row's storage
+  /// is disjoint; the sort scratch is thread-local) — the parallel build
+  /// relies on that.
+  static void SortRow(const Schema& schema, RowChunk& chunk, std::size_t row,
+                      std::span<ListEntry> entries);
+
+  /// Installs the schema (pool, item→key map, normalized band grid, chunk
+  /// geometry) and returns the unfilled chunks of `num_rows` rows —
+  /// everything Build and BuildStreaming share before the per-row fills.
+  std::vector<std::shared_ptr<RowChunk>> InitStorage(
+      std::size_t num_rows, double scale_max, std::vector<ItemId> pool,
+      std::size_t num_universe_items,
+      std::span<const std::uint32_t> band_breakpoints, bool build_flat_twin);
+
+  static std::shared_ptr<const Schema> EmptySchema();
 
   /// The UserView band-span memo: one packed (prefix+1) << 32 | nb entry
   /// (0 = cold), atomic so concurrent batch workers share it without racing.
@@ -308,20 +389,11 @@ class PreferenceIndex {
   };
 
   std::size_t num_users_ = 0;
-  double scale_max_ = 1.0;                            // score normalization
-  std::vector<ItemId> pool_;                          // key -> universe item
-  std::vector<std::uint32_t> pool_position_of_item_;  // item -> key
-  std::vector<std::uint32_t> band_begin_ = {0, 0};  // band b = [b, b+1) keys
-  // Band-order SoA rows, num_users × pool_size each: keys_[u·P + p] is the
-  // key at row position p, scores_ its score, positions_ the inverse map.
-  std::vector<ListKey> keys_;
-  std::vector<Score> scores_;
-  std::vector<std::uint32_t> positions_;  // key -> band-order row position
-  // Global-order twin of the row arrays, populated only when num_bands() > 1
-  // and build_flat_twin — the large-prefix fast path (see UserView).
-  std::vector<ListKey> flat_keys_;
-  std::vector<Score> flat_scores_;
-  std::vector<std::uint32_t> flat_positions_;
+  std::shared_ptr<const Schema> schema_ = EmptySchema();
+  // Chunk c holds rows [c << chunk_shift, (c + 1) << chunk_shift), the last
+  // one only the rows that remain; shared with every generation that did
+  // not rewrite it.
+  std::vector<std::shared_ptr<const RowChunk>> chunks_;
   BandSpanMemo band_span_memo_;
 };
 

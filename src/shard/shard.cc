@@ -136,9 +136,8 @@ void Shard::PublishRound(std::span<PendingUpdate* const> round) {
   }
 
   // Rebuild only the touched local rows: predictor over the merged view →
-  // raw pool scores → CloneWithUpdatedPoolRows (wholesale copy of this
-  // shard's rows + per-touched-row re-sort). The clone is 1/N of the
-  // population's rows — the shard-scaling mechanism.
+  // raw pool scores → CloneWithUpdatedPoolRows, which copies only the row
+  // chunks holding a touched row and shares the rest with `cur`.
   const PreferenceIndex& index = *cur->index;
   std::vector<std::uint32_t> rows;
   rows.reserve(touched.size());
@@ -155,8 +154,9 @@ void Shard::PublishRound(std::span<PendingUpdate* const> round) {
                index.pool(), out);
     score_views.emplace_back(out);
   }
+  std::size_t bytes_copied = 0;
   auto next_index = std::make_shared<const PreferenceIndex>(
-      index.CloneWithUpdatedPoolRows(rows, score_views));
+      index.CloneWithUpdatedPoolRows(rows, score_views, &bytes_copied));
 
   const std::size_t delta_after = overlay->delta_ratings();
   const std::uint64_t generation = next_generation_++;
@@ -171,6 +171,7 @@ void Shard::PublishRound(std::span<PendingUpdate* const> round) {
     batch->report.users_rebuilt = touched.size();
     batch->report.compacted = compacted;
     batch->report.delta_log_ratings = delta_after;
+    batch->report.index_bytes_copied = bytes_copied;
   }
 }
 

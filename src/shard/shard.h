@@ -12,10 +12,11 @@
 //  * its own group-commit queue and RCU snapshot (generation-stamped
 //    overlay + index pair, swapped under a light mutex).
 //
-// Publish independence is the point: a rating batch touching only this
-// shard's users clones THIS shard's index (1/N of the population's rows),
-// not the whole population's — under locality-routed traffic the
-// per-publish byte cost drops by the shard count.
+// Publish independence: a rating batch touching only this shard's users
+// publishes only THIS shard, and its index clone copies only the row chunks
+// that hold a touched row (index/preference_index.h) — the per-publish byte
+// cost follows the events, not the shard's size or the shard count
+// (UpdateReport::index_bytes_copied reports it).
 //
 // Prediction recompute goes through a PoolPredictor instead of stored
 // universe-scale prediction arrays: the predictor maps a user's merged

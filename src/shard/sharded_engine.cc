@@ -230,6 +230,7 @@ Status ShardedEngine::ApplyUpdates(std::span<const RatingEvent> events,
     total.events_ignored_stale += r.events_ignored_stale;
     total.users_rebuilt += r.users_rebuilt;
     total.delta_log_ratings += r.delta_log_ratings;
+    total.index_bytes_copied += r.index_bytes_copied;
     total.published_generation =
         std::max(total.published_generation, r.published_generation);
     total.batches_coalesced =

@@ -188,9 +188,10 @@ class ShardedSnapshotSet {
 /// attribution behind it.
 struct ShardedUpdateReport {
   /// Sums of the per-shard counters (events_applied, events_ignored_stale,
-  /// users_rebuilt, delta_log_ratings); published_generation is the max
-  /// over touched shards, compacted is true when ANY shard compacted,
-  /// batches_coalesced the max over touched shards.
+  /// users_rebuilt, delta_log_ratings, index_bytes_copied);
+  /// published_generation is the max over touched shards, compacted is true
+  /// when ANY shard compacted, batches_coalesced the max over touched
+  /// shards.
   UpdateReport total;
   /// One report per shard, indexed by shard id (untouched shards carry
   /// their current generation and zero counters).

@@ -415,6 +415,51 @@ TEST_F(DeltaLogTest, RandomizedDeltaLogEquivalence) {
                             "delta-vs-fresh-fold");
 }
 
+// Every publish reports the index bytes it copied, and they stay within
+// the copy-on-write bound: the distinct row chunks holding a rebuilt row
+// times the chunk size, plus the chunk pointer table. Untouched shards copy
+// nothing, and the engine total is the per-shard sum.
+TEST_F(DeltaLogTest, PublishCopiesOnlyTheTouchedChunks) {
+  auto engine = MakeEngine(BaseOptions(/*shards=*/3));
+  Timestamp next_ts = 4'000'000'000;  // newer than any study rating
+  for (std::uint64_t batch = 0; batch < 10; ++batch) {
+    std::vector<RatingEvent> events = RandomEvents(1 + batch % 7, 700 + batch);
+    for (RatingEvent& e : events) e.timestamp = next_ts++;
+    std::vector<std::vector<UserId>> users(engine->num_shards());
+    for (const RatingEvent& e : events) {
+      users[engine->router().ShardOf(e.user)].push_back(e.user);
+    }
+    ShardedUpdateReport report;
+    ASSERT_TRUE(engine->ApplyUpdates(events, &report).ok());
+    std::size_t sum = 0;
+    for (std::size_t s = 0; s < engine->num_shards(); ++s) {
+      const UpdateReport& r = report.per_shard[s];
+      sum += r.index_bytes_copied;
+      std::sort(users[s].begin(), users[s].end());
+      users[s].erase(std::unique(users[s].begin(), users[s].end()),
+                     users[s].end());
+      ASSERT_EQ(r.users_rebuilt, users[s].size()) << "batch " << batch;
+      if (users[s].empty()) {
+        EXPECT_EQ(r.index_bytes_copied, 0u) << "batch " << batch;
+        continue;
+      }
+      const PreferenceIndex& index = *Current(*engine, s)->index;
+      std::vector<std::size_t> chunks;
+      for (const UserId u : users[s]) {
+        chunks.push_back(engine->shard(s).LocalRowOf(u) /
+                         index.rows_per_chunk());
+      }
+      chunks.erase(std::unique(chunks.begin(), chunks.end()), chunks.end());
+      EXPECT_LE(r.index_bytes_copied,
+                chunks.size() * index.chunk_bytes() +
+                    index.chunk_table_bytes())
+          << "batch " << batch << " shard " << s;
+      EXPECT_GT(r.index_bytes_copied, index.chunk_table_bytes());
+    }
+    EXPECT_EQ(report.total.index_bytes_copied, sum) << "batch " << batch;
+  }
+}
+
 // --- Shard-scoped compaction -----------------------------------------------
 
 // A forced compaction folds only the shard's own users: the shard's new base

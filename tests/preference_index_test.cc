@@ -1,10 +1,14 @@
-// Tests for the shared PreferenceIndex: row ordering, the item↔key maps and
-// prefix/tombstone slicing through UserView.
+// Tests for the shared PreferenceIndex: row ordering, the item↔key maps,
+// prefix/tombstone slicing through UserView, and the copy-on-write row
+// chunks behind CloneWithUpdatedPoolRows.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <set>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -289,6 +293,241 @@ TEST(PreferenceIndexTest, StreamingBuildAndRowCloneMatchFullMatrixBuild) {
         }
         EXPECT_FALSE(b.SkipToLive(cb));
       }
+    }
+  }
+}
+
+// ---- Copy-on-write row chunks ---------------------------------------------
+
+/// Everything a reader can observe of one row: the band-order arrays and
+/// the order and scores a full-prefix view walks (the flat twin where there
+/// is one).
+std::vector<ListEntry> ObservedRow(const PreferenceIndex& index, UserId u) {
+  std::vector<ListEntry> row = RowEntries(index, u);
+  const ListView view =
+      index.UserView(u, index.pool_size(), {}, index.pool_size());
+  std::size_t cursor = 0;
+  AccessCounter counter;
+  while (view.SkipToLive(cursor)) {
+    row.push_back(view.ReadSequential(cursor, counter));
+  }
+  return row;
+}
+
+void ExpectSameRows(const PreferenceIndex& want, const PreferenceIndex& got,
+                    const std::string& label) {
+  ASSERT_EQ(got.num_users(), want.num_users()) << label;
+  ASSERT_EQ(got.num_bands(), want.num_bands()) << label;
+  for (UserId u = 0; u < want.num_users(); ++u) {
+    const auto a = ObservedRow(want, u);
+    const auto b = ObservedRow(got, u);
+    ASSERT_EQ(a.size(), b.size()) << label << " user " << u;
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(a[i].id, b[i].id) << label << " user " << u << " pos " << i;
+      ASSERT_EQ(a[i].score, b[i].score) << label << " user " << u;
+    }
+  }
+}
+
+/// A chunk-geometry fixture: random per-item prediction matrices over a
+/// 300-item universe and a 256-item pool (8 KiB rows with the flat twin,
+/// 4 KiB without — tens of rows per chunk, so multi-chunk indexes stay
+/// small).
+struct ChunkFixture {
+  static constexpr std::size_t kItems = 300;
+  std::vector<ItemId> pool;
+  std::vector<std::uint32_t> breakpoints;
+  bool twin = true;
+  Rng rng{2024};
+
+  ChunkFixture(bool banded, bool flat_twin) : twin(flat_twin) {
+    for (ItemId i = 0; i < 256; ++i) pool.push_back(kItems - 1 - i);
+    if (banded) {
+      breakpoints = PreferenceIndex::GeometricBandBreakpoints(pool.size(), 16);
+    }
+  }
+  std::vector<std::vector<Score>> Matrix(std::size_t rows) {
+    std::vector<std::vector<Score>> m(rows, std::vector<Score>(kItems));
+    for (auto& row : m) {
+      // Coarse values so ties (broken by ascending key) are common.
+      for (Score& v : row) v = 0.5 * static_cast<double>(rng.NextBounded(11));
+    }
+    return m;
+  }
+  std::vector<Score> PoolScores(const std::vector<Score>& row) const {
+    std::vector<Score> out(pool.size());
+    for (std::size_t k = 0; k < pool.size(); ++k) out[k] = row[pool[k]];
+    return out;
+  }
+  PreferenceIndex Build(const std::vector<std::vector<Score>>& m) const {
+    return PreferenceIndex::Build(m, 5.0, pool, kItems, breakpoints, twin);
+  }
+  std::size_t RowsPerChunk() {
+    return Build(Matrix(1)).rows_per_chunk();
+  }
+  /// Publishes `touched` rows of `from` rebuilt from `target`.
+  PreferenceIndex Clone(const PreferenceIndex& from,
+                        const std::vector<std::vector<Score>>& target,
+                        const std::vector<UserId>& touched,
+                        std::size_t* bytes_copied = nullptr) const {
+    std::vector<std::vector<Score>> scores;
+    for (const UserId u : touched) scores.push_back(PoolScores(target[u]));
+    const std::vector<std::span<const Score>> views(scores.begin(),
+                                                    scores.end());
+    return from.CloneWithUpdatedPoolRows(touched, views, bytes_copied);
+  }
+};
+
+/// Row counts around the chunk size (1, chunk−1, chunk, chunk+1, 3·chunk+5)
+/// in both layouts with the flat twin on and off: BuildStreaming and a clone
+/// that rebuilds the first and last row of a chunk and of the last partial
+/// chunk are bit-identical to PreferenceIndex::Build over the full matrix,
+/// and the last chunk holds only the rows that remain.
+TEST(PreferenceIndexChunkTest, ChunkEdgesMatchFullMatrixBuild) {
+  for (const bool banded : {true, false}) {
+    for (const bool twin : {true, false}) {
+      ChunkFixture fx(banded, twin);
+      const std::size_t chunk = fx.RowsPerChunk();
+      ASSERT_GE(chunk, 2u);
+      ASSERT_EQ(chunk & (chunk - 1), 0u) << "rows per chunk is a power of 2";
+      for (const std::size_t n :
+           {std::size_t{1}, chunk - 1, chunk, chunk + 1, 3 * chunk + 5}) {
+        const std::string label = std::string(banded ? "banded" : "flat") +
+                                  (twin ? "+twin" : "") + " rows " +
+                                  std::to_string(n);
+        const auto target = fx.Matrix(n);
+        const PreferenceIndex oracle = fx.Build(target);
+        ASSERT_EQ(oracle.has_flat_twin(), banded && twin) << label;
+        EXPECT_EQ(oracle.rows_per_chunk(), chunk) << label;
+        EXPECT_EQ(oracle.num_chunks(), (n + chunk - 1) / chunk) << label;
+        // No padding: the rows take exactly n × pool entries.
+        const auto memory = oracle.MemoryBreakdownBytes();
+        const std::size_t entry_bytes =
+            sizeof(ListKey) + sizeof(Score) + sizeof(std::uint32_t);
+        EXPECT_EQ(memory.banded_bytes, n * fx.pool.size() * entry_bytes)
+            << label;
+        EXPECT_EQ(memory.flat_twin_bytes,
+                  oracle.has_flat_twin() ? memory.banded_bytes : 0u)
+            << label;
+
+        const PreferenceIndex streamed = PreferenceIndex::BuildStreaming(
+            n,
+            [&](UserId row, std::span<const ItemId>, std::span<Score> out) {
+              const auto scores = fx.PoolScores(target[row]);
+              std::copy(scores.begin(), scores.end(), out.begin());
+            },
+            5.0, fx.pool, ChunkFixture::kItems, fx.breakpoints, twin);
+        ExpectSameRows(oracle, streamed, label + " streamed");
+
+        // Rebuild the first and last rows of every full chunk's edge and of
+        // the last (possibly partial) chunk from stale contents.
+        std::set<UserId> edges = {0, static_cast<UserId>(n - 1)};
+        for (const std::size_t row : {chunk - 1, chunk, 2 * chunk - 1,
+                                      (n - 1) / chunk * chunk}) {
+          if (row < n) edges.insert(static_cast<UserId>(row));
+        }
+        const std::vector<UserId> touched(edges.begin(), edges.end());
+        auto mixed = target;
+        const auto stale = fx.Matrix(n);
+        for (const UserId u : touched) mixed[u] = stale[u];
+        const PreferenceIndex before = fx.Build(mixed);
+        const PreferenceIndex cloned = fx.Clone(before, target, touched);
+        ExpectSameRows(oracle, cloned, label + " cloned");
+      }
+    }
+  }
+}
+
+/// A pinned generation is never written: after K publishes that keep
+/// rewriting rows of its chunks (the same chunk every time, and others),
+/// every row it exposes is byte-identical to what it exposed when pinned,
+/// and each publish shares every untouched chunk with its parent.
+TEST(PreferenceIndexChunkTest, PinnedGenerationSurvivesPublishes) {
+  ChunkFixture fx(/*banded=*/true, /*twin=*/true);
+  const std::size_t chunk = fx.RowsPerChunk();
+  const std::size_t n = 3 * chunk + 5;
+  const auto pinned = std::make_shared<const PreferenceIndex>(
+      fx.Build(fx.Matrix(n)));
+  std::vector<std::vector<ListEntry>> pinned_rows;
+  for (UserId u = 0; u < n; ++u) pinned_rows.push_back(ObservedRow(*pinned, u));
+
+  std::shared_ptr<const PreferenceIndex> latest = pinned;
+  constexpr std::size_t kPublishes = 6;
+  for (std::size_t k = 0; k < kPublishes; ++k) {
+    // Row 1 (chunk 0) every time, plus one row of a rotating other chunk.
+    const UserId other =
+        static_cast<UserId>(((k % 3) + 1) * chunk + k) % static_cast<UserId>(n);
+    std::vector<UserId> touched = {1, other};
+    if (other == 1) touched.pop_back();
+    const auto next = std::make_shared<const PreferenceIndex>(
+        fx.Clone(*latest, fx.Matrix(n), touched));
+    std::set<std::size_t> dirty;
+    for (const UserId u : touched) dirty.insert(u / chunk);
+    for (UserId u = 0; u < n; ++u) {
+      const bool shared = next->UserKeys(u).data() == latest->UserKeys(u).data();
+      EXPECT_EQ(shared, dirty.count(u / chunk) == 0)
+          << "publish " << k << " user " << u;
+    }
+    latest = next;
+  }
+  for (UserId u = 0; u < n; ++u) {
+    const auto row = ObservedRow(*pinned, u);
+    ASSERT_EQ(row.size(), pinned_rows[u].size());
+    for (std::size_t i = 0; i < row.size(); ++i) {
+      ASSERT_EQ(row[i].id, pinned_rows[u][i].id) << "user " << u;
+      ASSERT_EQ(row[i].score, pinned_rows[u][i].score) << "user " << u;
+    }
+  }
+}
+
+/// index_bytes_copied counts the copied chunks plus the pointer table: a
+/// one-row update copies exactly one chunk whatever the row count, a row of
+/// the partial last chunk copies only that chunk's rows, and no publish
+/// copies more than (distinct touched chunks) × chunk_bytes() + the table.
+TEST(PreferenceIndexChunkTest, BytesCopiedFollowTouchedChunks) {
+  for (const bool twin : {true, false}) {
+    ChunkFixture fx(/*banded=*/true, twin);
+    const std::size_t chunk = fx.RowsPerChunk();
+    std::size_t one_row_bytes = 0;
+    for (const std::size_t n : {2 * chunk, 8 * chunk}) {
+      const auto target = fx.Matrix(n);
+      const PreferenceIndex index = fx.Build(target);
+      std::size_t bytes = 0;
+      fx.Clone(index, target, {static_cast<UserId>(chunk + 1)}, &bytes);
+      EXPECT_EQ(bytes, index.chunk_bytes() + index.chunk_table_bytes());
+      if (one_row_bytes == 0) one_row_bytes = bytes - index.chunk_table_bytes();
+      EXPECT_EQ(bytes - index.chunk_table_bytes(), one_row_bytes)
+          << "one-row publish cost depends on the row count";
+      // Two rows of one chunk still copy it once.
+      fx.Clone(index, target, {0, static_cast<UserId>(chunk - 1)}, &bytes);
+      EXPECT_EQ(bytes, index.chunk_bytes() + index.chunk_table_bytes());
+    }
+
+    const std::size_t n = 3 * chunk + 5;
+    const auto target = fx.Matrix(n);
+    PreferenceIndex index = fx.Build(target);
+    std::size_t bytes = 0;
+    fx.Clone(index, target, {static_cast<UserId>(n - 1)}, &bytes);
+    EXPECT_EQ(bytes, index.chunk_bytes() / chunk * 5 +
+                         index.chunk_table_bytes())
+        << "the partial last chunk copies only its own rows";
+
+    for (std::size_t publish = 0; publish < 20; ++publish) {
+      std::vector<UserId> touched;
+      const std::size_t rows = 1 + fx.rng.NextBounded(6);
+      for (std::size_t i = 0; i < rows; ++i) {
+        touched.push_back(static_cast<UserId>(fx.rng.NextBounded(n)));
+      }
+      std::sort(touched.begin(), touched.end());
+      touched.erase(std::unique(touched.begin(), touched.end()),
+                    touched.end());
+      std::set<std::size_t> chunks;
+      for (const UserId u : touched) chunks.insert(u / chunk);
+      index = fx.Clone(index, fx.Matrix(n), touched, &bytes);
+      EXPECT_LE(bytes, chunks.size() * index.chunk_bytes() +
+                           index.chunk_table_bytes())
+          << "publish " << publish;
+      EXPECT_GE(bytes, index.chunk_table_bytes());
     }
   }
 }
